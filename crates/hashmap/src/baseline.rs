@@ -3,105 +3,74 @@
 //! paper's figures). Comparing it against an ALE-integrated, Lock-only run
 //! ("Instrumented") measures the library's bookkeeping overhead.
 
+use ale_htm::HtmCell;
 use ale_sync::{RawLock, SpinLock};
 
 use crate::node::{NodeSlab, NIL};
+use crate::resize::Table;
 
 /// Plain single-lock chained hash map.
 pub struct BaselineHashMap<V: Copy + Default + Send + 'static> {
     lock: SpinLock,
-    buckets: Vec<ale_htm::HtmCell<u64>>,
+    table: Table,
     slab: NodeSlab<V>,
-    mask: usize,
 }
 
 impl<V: Copy + Default + Send + 'static> BaselineHashMap<V> {
     pub fn new(buckets: usize, capacity: u64) -> Self {
-        let buckets = buckets.next_power_of_two();
         BaselineHashMap {
             lock: SpinLock::new(),
-            buckets: (0..buckets).map(|_| ale_htm::HtmCell::new(NIL)).collect(),
+            table: Table::new(buckets),
             slab: NodeSlab::with_capacity(capacity),
-            mask: buckets - 1,
         }
     }
 
     #[inline]
-    fn bucket_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
+    fn head_of(&self, key: u64) -> &HtmCell<u64> {
+        let hash = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        self.table.bucket(hash & self.table.mask)
     }
 
     pub fn get(&self, key: u64, ret_val: &mut V) -> bool {
         self.lock.acquire();
-        let idx = self.bucket_of(key);
-        let mut bp = self.buckets[idx].get();
-        let mut found = false;
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                *ret_val = node.val.get();
-                found = true;
-                break;
-            }
-            bp = node.next.get();
+        let (_, id) = self.slab.find(self.head_of(key), key);
+        if id != NIL {
+            *ret_val = self.slab.node(id).val.get();
         }
         self.lock.release();
-        found
+        id != NIL
     }
 
     pub fn insert(&self, key: u64, val: V) -> bool {
         let new_id = self.slab.alloc(key, val);
         self.lock.acquire();
-        let idx = self.bucket_of(key);
-        let mut bp = self.buckets[idx].get();
-        let mut inserted = true;
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                node.val.set(val);
-                inserted = false;
-                break;
-            }
-            bp = node.next.get();
-        }
-        if inserted {
-            self.slab.node(new_id).next.set(self.buckets[idx].get());
-            self.buckets[idx].set(new_id);
+        let head = self.head_of(key);
+        let (_, id) = self.slab.find(head, key);
+        if id != NIL {
+            self.slab.node(id).val.set(val);
+        } else {
+            self.slab.link_front(head, new_id);
         }
         self.lock.release();
-        if !inserted {
+        if id != NIL {
             self.slab.free(new_id);
         }
-        inserted
+        id == NIL
     }
 
     pub fn remove(&self, key: u64) -> bool {
         self.lock.acquire();
-        let idx = self.bucket_of(key);
-        let mut prev = NIL;
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                break;
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        let removed = bp != NIL;
-        if removed {
-            let next = self.slab.node(bp).next.get();
-            if prev == NIL {
-                self.buckets[idx].set(next);
-            } else {
-                self.slab.node(prev).next.set(next);
-            }
+        let head = self.head_of(key);
+        let (prev, id) = self.slab.find(head, key);
+        if id != NIL {
+            let next = self.slab.node(id).next.get();
+            self.slab.unlink(head, prev, next);
         }
         self.lock.release();
-        if removed {
-            self.slab.free(bp);
+        if id != NIL {
+            self.slab.free(id);
         }
-        removed
+        id != NIL
     }
 }
 

@@ -9,28 +9,30 @@
 //!   variants, and optional per-bucket version numbers (the extension the
 //!   paper proposed but had "not yet experimented with").
 //! * [`BaselineHashMap`] — the uninstrumented single-lock baseline.
-//!
-//! * [`AleSortedList`] — a second structure with a very different elision
-//!   profile (O(n) traversals → real capacity pressure, long optimistic
-//!   reads, tiny conflicting regions).
-//!
 //! * [`AleShardedMap`] — the scale refactor: N single-lock shards routed
 //!   by the hash's high bits, each its own adaptive granule, with
 //!   incremental resize whose migration steps are themselves elided
 //!   critical sections (see `shard` module docs).
 //!
+//! All three — and `ale-kyoto`'s slots — are built on one **chain engine**
+//! ([`chain`]): the bucket-chain walk, link, unlink, move-to-front and
+//! sweep are [`NodeSlab`] methods over a [`Table`]'s head cells, written
+//! once. The walk takes its validation as a closure, so the SWOpt and the
+//! pessimistic search are two instantiations of one source (the paper's
+//! Figure 1), and each structure keeps only its protocol: which versions
+//! it snapshots, what it validates, where it opens the conflicting region.
+//!
 //! Keys are `u64`; values are any `Copy + Default` type of at most 16
 //! bytes (they live in [`ale_htm::HtmCell`]s).
 
 pub mod baseline;
-pub mod list;
+pub mod chain;
 pub mod map;
 pub mod node;
 pub mod resize;
 pub mod shard;
 
 pub use baseline::BaselineHashMap;
-pub use list::AleSortedList;
 pub use map::{AleHashMap, MapConfig};
 pub use node::{Node, NodeSlab, NIL};
 pub use resize::{Table, TableSet, MAX_TABLES, NO_TABLE};

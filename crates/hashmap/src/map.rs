@@ -25,11 +25,12 @@
 
 use std::sync::Arc;
 
-use ale_core::{scope, Ale, AleLock, CsOptions, CsOutcome, ScopeId};
+use ale_core::{scope, Ale, AleLock, CsCtx, CsOptions, CsOutcome, ScopeId};
 use ale_htm::HtmCell;
 use ale_sync::{CachePadded, SeqVersion, SpinLock};
 
 use crate::node::{NodeSlab, NIL};
+use crate::resize::Table;
 
 /// Configuration for [`AleHashMap`].
 #[derive(Debug, Clone)]
@@ -78,29 +79,27 @@ impl MapConfig {
 /// [`HtmCell`]s); keys are `u64`.
 pub struct AleHashMap<V: Copy + Default + Send + 'static> {
     lock: AleLock<SpinLock>,
-    buckets: Vec<HtmCell<u64>>,
+    table: Table,
     /// Per-stripe version words, each padded onto its own cache line
     /// (DESIGN.md §14): stripes exist to split writer traffic, which is
     /// defeated if neighbouring stripes share a line.
     vers: Vec<CachePadded<SeqVersion>>,
     slab: NodeSlab<V>,
-    mask: usize,
     ver_mask: usize,
 }
 
 impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// Create a map registered with `ale` under the lock label `tblLock`.
     pub fn new(ale: &Arc<Ale>, config: MapConfig) -> Self {
-        let buckets = config.buckets.next_power_of_two();
-        let stripes = config.version_stripes.next_power_of_two().min(buckets);
+        let table = Table::new(config.buckets);
+        let stripes = config.version_stripes.next_power_of_two().min(table.len());
         AleHashMap {
             lock: ale.new_lock("tblLock", SpinLock::new()),
-            buckets: (0..buckets).map(|_| HtmCell::new(NIL)).collect(),
+            table,
             vers: (0..stripes)
                 .map(|_| CachePadded::new(SeqVersion::new()))
                 .collect(),
             slab: NodeSlab::with_capacity(config.capacity),
-            mask: buckets - 1,
             ver_mask: stripes - 1,
         }
     }
@@ -108,7 +107,7 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     #[inline]
     fn bucket_of(&self, key: u64) -> usize {
         // Fibonacci hashing.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.table.mask
     }
 
     #[inline]
@@ -116,42 +115,36 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
         &self.vers[bucket & self.ver_mask]
     }
 
+    /// `key`'s chain head and the version stripe guarding it.
+    #[inline]
+    fn chain_of(&self, key: u64) -> (&HtmCell<u64>, &SeqVersion) {
+        let idx = self.bucket_of(key);
+        (self.table.bucket(idx), self.ver_of(idx))
+    }
+
     /// The paper's Figure 1: one source, two instantiations. Returns 1 if
     /// found (value copied to `ret_val`), 0 if absent, -1 on SWOpt
     /// interference.
     // ale-lint: swopt
     fn get_impl<const SWOPT: bool>(&self, key: u64, ret_val: &mut V) -> i32 {
-        let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
+        let (head, ver) = self.chain_of(key);
         let v = if SWOPT { ver.read(true) } else { 0 };
-        let mut bp = self.buckets[idx].get();
-        if SWOPT && !ver.validate(v) {
+        let Some((_, id)) = self.slab.walk(head, key, || !SWOPT || ver.validate(v)) else {
+            return -1;
+        };
+        if id == NIL {
+            return 0;
+        }
+        let val = self.slab.node(id).val.get();
+        // Self-test mutation (`mut-skip-validate`): dropping the
+        // validation after copying the value lets a SWOpt reader
+        // return data from a node recycled mid-read — ale-check's
+        // value-integrity oracle must catch it.
+        if SWOPT && !cfg!(feature = "mut-skip-validate") && !ver.validate(v) {
             return -1;
         }
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            let k = node.key.get();
-            if SWOPT && !ver.validate(v) {
-                return -1;
-            }
-            if k == key {
-                let val = node.val.get();
-                // Self-test mutation (`mut-skip-validate`): dropping the
-                // validation after copying the value lets a SWOpt reader
-                // return data from a node recycled mid-read — ale-check's
-                // value-integrity oracle must catch it.
-                if SWOPT && !cfg!(feature = "mut-skip-validate") && !ver.validate(v) {
-                    return -1;
-                }
-                *ret_val = val;
-                return 1;
-            }
-            bp = node.next.get();
-            if SWOPT && !ver.validate(v) {
-                return -1;
-            }
-        }
-        0
+        *ret_val = val;
+        1
     }
 
     /// Look up `key`, copying its value into `ret_val`. Returns whether the
@@ -187,34 +180,10 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
         // Allocate and fill the node *outside* the critical section; only
         // the link is published inside it.
         let new_id = self.slab.alloc(key, val);
-        let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
         let inserted = self
             .lock
             .cs_plain(scope!("HashMap::insert"), CsOptions::new(), |cs| {
-                let mut bp = self.buckets[idx].get();
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    if node.key.get() == key {
-                        // Overwrite: this is the conflicting region — a SWOpt
-                        // reader may be about to copy this value.
-                        let bump = cs.could_swopt_be_running();
-                        if bump {
-                            ver.begin_conflicting_action();
-                        }
-                        node.val.set(val);
-                        if bump {
-                            ver.end_conflicting_action();
-                        }
-                        return false;
-                    }
-                    bp = node.next.get();
-                }
-                // Link at head. Publishing a fully-initialised node is not a
-                // conflicting action: readers see the old or the new chain.
-                self.slab.node(new_id).next.set(self.buckets[idx].get());
-                self.buckets[idx].set(new_id);
-                true
+                self.insert_pessimistic(cs, key, val, new_id)
             });
         if !inserted {
             self.slab.free(new_id);
@@ -225,52 +194,12 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// Remove `key`. Returns whether it was present. This is the paper's
     /// §3.2 example: only the unlink is bracketed as conflicting.
     pub fn remove(&self, key: u64) -> bool {
-        let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
         let removed = self
             .lock
             .cs_plain(scope!("HashMap::remove"), CsOptions::new(), |cs| {
-                // <search a node containing the given key>
-                let mut prev = NIL;
-                let mut bp = self.buckets[idx].get();
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    if node.key.get() == key {
-                        break;
-                    }
-                    prev = bp;
-                    bp = node.next.get();
-                }
-                if bp == NIL {
-                    return None;
-                }
-                // BeginConflictingAction(); unlink; EndConflictingAction();
-                let next = self.slab.node(bp).next.get();
-                // Self-test mutation (`mut-skip-version-bump`): unlinking
-                // without bumping the version makes concurrent SWOpt readers
-                // follow a recycled node unnoticed — ale-check must catch it.
-                let bump = cs.could_swopt_be_running() && !cfg!(feature = "mut-skip-version-bump");
-                if bump {
-                    ver.begin_conflicting_action();
-                }
-                if prev == NIL {
-                    self.buckets[idx].set(next);
-                } else {
-                    self.slab.node(prev).next.set(next);
-                }
-                if bump {
-                    ver.end_conflicting_action();
-                }
-                Some(bp)
+                self.remove_pessimistic(cs, key)
             });
-        match removed {
-            Some(id) => {
-                // Recycle only after the unlink committed.
-                self.slab.free(id);
-                true
-            }
-            None => false,
-        }
+        self.recycle(removed)
     }
 
     // ---------------------------------------------------------------------
@@ -281,58 +210,37 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// SWOpt mode; when (and only when) a conflicting action turns out to
     /// be needed, abort out of SWOpt and redo pessimistically.
     pub fn remove_self_abort(&self, key: u64) -> bool {
-        let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
         let removed = self.lock.cs(
             scope!("HashMap::remove_self_abort"),
             CsOptions::new().with_swopt(),
             |cs| {
-                if cs.is_swopt() {
-                    // Optimistic miss-check: absent keys need no mutation.
-                    let mut unused = V::default();
-                    return match self.get_impl::<true>(key, &mut unused) {
-                        -1 => CsOutcome::SwOptFail,
-                        0 => CsOutcome::Done(None),
-                        _ => CsOutcome::SwOptSelfAbort, // present: must mutate
-                    };
+                if !cs.is_swopt() {
+                    return CsOutcome::Done(self.remove_pessimistic(cs, key));
                 }
-                // Pessimistic path: identical to `remove`.
-                let mut prev = NIL;
-                let mut bp = self.buckets[idx].get();
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    if node.key.get() == key {
-                        break;
-                    }
-                    prev = bp;
-                    bp = node.next.get();
+                // Optimistic miss-check: absent keys need no mutation.
+                let mut unused = V::default();
+                match self.get_impl::<true>(key, &mut unused) {
+                    -1 => CsOutcome::SwOptFail,
+                    0 => CsOutcome::Done(None),
+                    _ => CsOutcome::SwOptSelfAbort, // present: must mutate
                 }
-                if bp == NIL {
-                    return CsOutcome::Done(None);
-                }
-                let next = self.slab.node(bp).next.get();
-                let bump = cs.could_swopt_be_running();
-                if bump {
-                    ver.begin_conflicting_action();
-                }
-                if prev == NIL {
-                    self.buckets[idx].set(next);
-                } else {
-                    self.slab.node(prev).next.set(next);
-                }
-                if bump {
-                    ver.end_conflicting_action();
-                }
-                CsOutcome::Done(Some(bp))
             },
         );
-        match removed {
-            Some(id) => {
-                self.slab.free(id);
-                true
-            }
-            None => false,
-        }
+        self.recycle(removed)
+    }
+
+    /// The §3.3 SWOpt search prefix: snapshot the stripe, walk the chain.
+    /// `None` on interference, else `(snapshot, prev, id | NIL)`.
+    // ale-lint: swopt
+    fn search_swopt(
+        &self,
+        head: &HtmCell<u64>,
+        ver: &SeqVersion,
+        key: u64,
+    ) -> Option<(u64, u64, u64)> {
+        let v = ver.read(true);
+        let (prev, id) = self.slab.walk(head, key, || ver.validate(v))?;
+        Some((v, prev, id))
     }
 
     /// Remove with a **SWOpt search prefix** and a nested, non-SWOpt
@@ -340,39 +248,19 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// first re-validates; on interference the whole operation retries
     /// after reporting the SWOpt failure.
     pub fn remove_fine(&self, key: u64) -> bool {
-        let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
+        let (head, ver) = self.chain_of(key);
         let removed = self.lock.cs(
             scope!("HashMap::remove_fine"),
             CsOptions::new().with_swopt(),
             |cs| {
                 if !cs.is_swopt() {
                     // HTM/Lock execution: plain pessimistic removal.
-                    return CsOutcome::Done(self.remove_pessimistic(cs, idx, key));
+                    return CsOutcome::Done(self.remove_pessimistic(cs, key));
                 }
-                // SWOpt search prefix.
-                let v = ver.read(true);
-                let mut prev = NIL;
-                let mut bp = self.buckets[idx].get();
-                if !ver.validate(v) {
+                let Some((v, prev, id)) = self.search_swopt(head, ver, key) else {
                     return CsOutcome::SwOptFail;
-                }
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    let k = node.key.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                    if k == key {
-                        break;
-                    }
-                    prev = bp;
-                    bp = node.next.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                }
-                if bp == NIL {
+                };
+                if id == NIL {
                     return CsOutcome::Done(None);
                 }
                 // Nested critical section (no SWOpt path) for the unlink.
@@ -383,46 +271,31 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
                         // "the nested critical section must first check if
                         // a conflict has occurred" (§3.3).
                         if !ver.validate(v) {
-                            return None;
+                            return false;
                         }
                         // The version said nothing conflicting happened,
                         // but non-conflicting inserts don't bump it: verify
                         // the splice point is still what we found.
-                        let prev_cell = if prev == NIL {
-                            &self.buckets[idx]
-                        } else {
-                            &self.slab.node(prev).next
-                        };
-                        if prev_cell.get() != bp {
-                            return None;
+                        if self.slab.link_cell(head, prev).get() != id {
+                            return false;
                         }
-                        let next = self.slab.node(bp).next.get();
-                        let bump = ics.could_swopt_be_running();
-                        if bump {
-                            ver.begin_conflicting_action();
-                        }
-                        prev_cell.set(next);
-                        if bump {
-                            ver.end_conflicting_action();
-                        }
-                        Some(bp)
+                        let next = self.slab.node(id).next.get();
+                        ver.conflicting(ics.could_swopt_be_running(), || {
+                            self.slab.unlink(head, prev, next)
+                        });
+                        true
                     },
                 );
-                match unlinked {
-                    Some(id) => CsOutcome::Done(Some(id)),
+                if unlinked {
+                    CsOutcome::Done(Some(id))
+                } else {
                     // Conflict detected inside the nested CS: report the
                     // SWOpt failure and retry the whole operation.
-                    None => CsOutcome::SwOptFail,
+                    CsOutcome::SwOptFail
                 }
             },
         );
-        match removed {
-            Some(id) => {
-                self.slab.free(id);
-                true
-            }
-            None => false,
-        }
+        self.recycle(removed)
     }
 
     /// Insert with a SWOpt search prefix and a nested critical section for
@@ -430,38 +303,19 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// parts of these methods too").
     pub fn insert_fine(&self, key: u64, val: V) -> bool {
         let new_id = self.slab.alloc(key, val);
-        let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
+        let (head, ver) = self.chain_of(key);
         let inserted = self.lock.cs(
             scope!("HashMap::insert_fine"),
             CsOptions::new().with_swopt(),
             |cs| {
                 if !cs.is_swopt() {
-                    return CsOutcome::Done(self.insert_pessimistic(cs, idx, key, val, new_id));
+                    return CsOutcome::Done(self.insert_pessimistic(cs, key, val, new_id));
                 }
                 // SWOpt search prefix: find whether the key exists.
-                let v = ver.read(true);
-                let mut found = NIL;
-                let mut bp = self.buckets[idx].get();
-                if !ver.validate(v) {
+                let Some((v, _, found)) = self.search_swopt(head, ver, key) else {
                     return CsOutcome::SwOptFail;
-                }
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    let k = node.key.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                    if k == key {
-                        found = bp;
-                        break;
-                    }
-                    bp = node.next.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                }
-                let head = self.buckets[idx].get();
+                };
+                let first = head.get();
                 if !ver.validate(v) {
                     return CsOutcome::SwOptFail;
                 }
@@ -477,23 +331,19 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
                             // Overwrite: check the node is still reachable
                             // (recycling requires a version bump, which
                             // validate caught, so key identity holds).
-                            let bump = ics.could_swopt_be_running();
-                            if bump {
-                                ver.begin_conflicting_action();
-                            }
-                            self.slab.node(found).val.set(val);
-                            if bump {
-                                ver.end_conflicting_action();
-                            }
+                            ver.conflicting(ics.could_swopt_be_running(), || {
+                                self.slab.node(found).val.set(val)
+                            });
                             return Some(false);
                         }
                         // Fresh insert: the head we saw must be unchanged,
-                        // else another insert may have added our key.
-                        if self.buckets[idx].get() != head {
+                        // else another insert may have added our key. The
+                        // link reuses that observed head (no second read).
+                        if head.get() != first {
                             return None;
                         }
-                        self.slab.node(new_id).next.set(head);
-                        self.buckets[idx].set(new_id);
+                        self.slab.node(new_id).next.set(first);
+                        head.set(new_id);
                         Some(true)
                     },
                 );
@@ -509,65 +359,48 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
         inserted
     }
 
-    fn remove_pessimistic(&self, cs: &ale_core::CsCtx<'_>, idx: usize, key: u64) -> Option<u64> {
-        let ver = self.ver_of(idx);
-        let mut prev = NIL;
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                break;
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        if bp == NIL {
+    /// The HTM/Lock removal every variant shares: find, then unlink inside
+    /// the conflicting region. Returns the unlinked node for [`recycle`].
+    ///
+    /// [`recycle`]: Self::recycle
+    fn remove_pessimistic(&self, cs: &CsCtx<'_>, key: u64) -> Option<u64> {
+        let (head, ver) = self.chain_of(key);
+        let (prev, id) = self.slab.find(head, key);
+        if id == NIL {
             return None;
         }
-        let next = self.slab.node(bp).next.get();
-        let bump = cs.could_swopt_be_running();
-        if bump {
-            ver.begin_conflicting_action();
-        }
-        if prev == NIL {
-            self.buckets[idx].set(next);
-        } else {
-            self.slab.node(prev).next.set(next);
-        }
-        if bump {
-            ver.end_conflicting_action();
-        }
-        Some(bp)
+        let next = self.slab.node(id).next.get();
+        // Self-test mutation (`mut-skip-version-bump`): unlinking
+        // without bumping the version makes concurrent SWOpt readers
+        // follow a recycled node unnoticed — ale-check must catch it.
+        let bump = cs.could_swopt_be_running() && !cfg!(feature = "mut-skip-version-bump");
+        ver.conflicting(bump, || self.slab.unlink(head, prev, next));
+        Some(id)
     }
 
-    fn insert_pessimistic(
-        &self,
-        cs: &ale_core::CsCtx<'_>,
-        idx: usize,
-        key: u64,
-        val: V,
-        new_id: u64,
-    ) -> bool {
-        let ver = self.ver_of(idx);
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                let bump = cs.could_swopt_be_running();
-                if bump {
-                    ver.begin_conflicting_action();
-                }
-                node.val.set(val);
-                if bump {
-                    ver.end_conflicting_action();
-                }
-                return false;
-            }
-            bp = node.next.get();
+    /// The HTM/Lock insertion every variant shares. An overwrite is the
+    /// conflicting region — a SWOpt reader may be about to copy the value;
+    /// publishing a fully-initialised node at the head is not.
+    fn insert_pessimistic(&self, cs: &CsCtx<'_>, key: u64, val: V, new_id: u64) -> bool {
+        let (head, ver) = self.chain_of(key);
+        let (_, id) = self.slab.find(head, key);
+        if id != NIL {
+            ver.conflicting(cs.could_swopt_be_running(), || {
+                self.slab.node(id).val.set(val)
+            });
+            return false;
         }
-        self.slab.node(new_id).next.set(self.buckets[idx].get());
-        self.buckets[idx].set(new_id);
+        self.slab.link_front(head, new_id);
         true
+    }
+
+    /// Free an unlinked node — only after the unlink's critical section
+    /// committed. Returns whether there was one.
+    fn recycle(&self, unlinked: Option<u64>) -> bool {
+        if let Some(id) = unlinked {
+            self.slab.free(id);
+        }
+        unlinked.is_some()
     }
 
     /// Key count via a Lock-mode sweep (diagnostics/tests only).
@@ -577,12 +410,8 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
             CsOptions::new().without_htm(),
             |_| {
                 let mut n = 0;
-                for b in &self.buckets {
-                    let mut bp = b.get();
-                    while bp != NIL {
-                        n += 1;
-                        bp = self.slab.node(bp).next.get();
-                    }
+                for head in self.table.heads() {
+                    self.slab.sweep(head, |_| n += 1);
                 }
                 n
             },
@@ -632,7 +461,7 @@ mod tests {
                 version_stripes: 500,
             },
         );
-        assert_eq!(map.buckets.len(), 128);
+        assert_eq!(map.table.len(), 128);
         assert_eq!(map.vers.len(), 128, "stripes must clamp to buckets");
         assert_eq!(map.ver_mask, map.vers.len() - 1);
     }
@@ -651,7 +480,7 @@ mod tests {
             );
             assert!(map.vers.len().is_power_of_two());
             assert!(
-                map.vers.len() <= map.buckets.len(),
+                map.vers.len() <= map.table.len(),
                 "{stripes} stripes on {buckets} buckets must clamp"
             );
             // `ver_of` takes a bucket index, but must tolerate any usize a
@@ -660,7 +489,7 @@ mod tests {
                 let _ = map.ver_of(raw); // would panic on out-of-bounds
             }
             // Every actual bucket maps to a live stripe.
-            for b in 0..map.buckets.len() {
+            for b in 0..map.table.len() {
                 let _ = map.ver_of(b);
             }
         }

@@ -26,8 +26,10 @@ pub const NO_TABLE: u64 = u64::MAX;
 /// doublings outgrow any capacity the node slab can hold.
 pub const MAX_TABLES: usize = 16;
 
-/// One bucket array: chain heads (node ids into the owning shard's slab)
-/// plus the power-of-two index mask.
+/// One bucket array: chain heads (node ids into the owning structure's
+/// slab) plus the power-of-two index mask. The bucket array of every table
+/// in the workspace; the chains hanging off it are driven by the
+/// [chain engine](crate::chain).
 pub struct Table {
     buckets: Box<[HtmCell<u64>]>,
     /// `buckets.len() - 1`; bucket index is `hash & mask`.
@@ -57,6 +59,11 @@ impl Table {
     #[inline]
     pub fn bucket(&self, idx: usize) -> &HtmCell<u64> {
         &self.buckets[idx]
+    }
+
+    /// Every chain-head cell, in bucket order (sweeps).
+    pub fn heads(&self) -> impl Iterator<Item = &HtmCell<u64>> {
+        self.buckets.iter()
     }
 }
 

@@ -149,6 +149,9 @@ impl ShardedMapConfig {
     }
 }
 
+/// A search hit: `(chain head, predecessor id | NIL, node id)`.
+type Hit<'a> = (&'a HtmCell<u64>, u64, u64);
+
 /// One shard: a self-contained single-lock chained table with resize state.
 struct Shard<V: Copy + Default + Send + 'static> {
     lock: AleLock<SpinLock>,
@@ -184,192 +187,116 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         hash & curt.mask
     }
 
+    /// Search both tables for `key` under a metadata snapshot: the current
+    /// table, then — while a migration is live and its cursor has not
+    /// passed the key's old bucket — the old table.
+    /// `ok` is the caller's validation, run by the engine after every read.
+    /// `None` on interference, `Some(None)` on a miss, else the hit's
+    /// `(chain head, prev, id)`.
+    // ale-lint: swopt
+    fn search(
+        &self,
+        [cur, prev, cursor, _]: [u64; 4],
+        hash: usize,
+        key: u64,
+        ok: &impl Fn() -> bool,
+    ) -> Option<Option<Hit<'_>>> {
+        let curt = self.tables.get(cur);
+        let head = curt.bucket(hash & curt.mask);
+        let (p, id) = self.slab.walk(head, key, ok)?;
+        if id != NIL {
+            return Some(Some((head, p, id)));
+        }
+        if prev != NO_TABLE {
+            let prevt = self.tables.get(prev);
+            let ob = hash & prevt.mask;
+            if (ob as u64) >= cursor {
+                let head = prevt.bucket(ob);
+                let (p, id) = self.slab.walk(head, key, ok)?;
+                if id != NIL {
+                    return Some(Some((head, p, id)));
+                }
+            }
+        }
+        Some(None)
+    }
+
+    /// [`search`](Self::search) under exclusion (HTM/Lock): cannot fail.
+    fn find(&self, meta: [u64; 4], hash: usize, key: u64) -> Option<Hit<'_>> {
+        self.search(meta, hash, key, &|| true)
+            .expect("an unvalidated search has no failure path")
+    }
+
     /// SWOpt lookup: `Some(found)` on a validated result, `None` on
-    /// interference (caller reports `CsOutcome::SwOptFail`).
+    /// interference (caller reports `CsOutcome::SwOptFail`). Everything
+    /// read since the snapshots is validated against the stripe *and* the
+    /// table-pointer version before use: the stripe catches
+    /// overwrites/unlinks; the metadata version catches chain splices and
+    /// table swaps.
     // ale-lint: swopt
     fn get_swopt(&self, hash: usize, key: u64, ret_val: &mut V) -> Option<bool> {
         let (snap, mv) = self.meta.load_versioned();
-        let [cur, prev, cursor, _epoch] = snap;
         let ver = self.ver_of(hash);
         let v = ver.read(true);
         // The stripe snapshot must postdate nothing: re-anchor the metadata.
         if !self.meta.version().validate(mv) {
             return None;
         }
-        let curt = self.tables.get(cur);
-        if let Some(val) = self.search_swopt(curt, hash & curt.mask, key, ver, v, mv)? {
-            *ret_val = val;
-            return Some(true);
-        }
-        if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let Some(val) = self.search_swopt(prevt, ob, key, ver, v, mv)? {
-                    *ret_val = val;
-                    return Some(true);
-                }
-            }
-        }
-        Some(false)
-    }
-
-    /// Walk one chain optimistically, validating the stripe *and* the
-    /// table-pointer version before using anything read since the
-    /// snapshots. The stripe catches overwrites/unlinks; the metadata
-    /// version catches chain splices and table swaps.
-    // ale-lint: swopt
-    #[allow(clippy::too_many_arguments)]
-    fn search_swopt(
-        &self,
-        t: &Table,
-        idx: usize,
-        key: u64,
-        ver: &SeqVersion,
-        v: u64,
-        mv: u64,
-    ) -> Option<Option<V>> {
-        let mut bp = t.bucket(idx).get();
-        if !ver.validate(v) || !self.meta.version().validate(mv) {
+        let ok = || ver.validate(v) && self.meta.version().validate(mv);
+        let Some((_, _, id)) = self.search(snap, hash, key, &ok)? else {
+            return Some(false);
+        };
+        let val = self.slab.node(id).val.get();
+        if !ok() {
             return None;
         }
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            let k = node.key.get();
-            if !ver.validate(v) || !self.meta.version().validate(mv) {
-                return None;
-            }
-            if k == key {
-                let val = node.val.get();
-                if !ver.validate(v) || !self.meta.version().validate(mv) {
-                    return None;
-                }
-                return Some(Some(val));
-            }
-            bp = node.next.get();
-            if !ver.validate(v) || !self.meta.version().validate(mv) {
-                return None;
-            }
-        }
-        Some(None)
+        *ret_val = val;
+        Some(true)
     }
 
     /// Pessimistic (HTM/Lock) lookup across both tables.
     fn get_locked(&self, hash: usize, key: u64, ret_val: &mut V) -> bool {
-        let [cur, prev, cursor, _] = self.meta.load();
-        let curt = self.tables.get(cur);
-        if let (_, Some(id)) = self.find(curt, hash & curt.mask, key) {
-            *ret_val = self.slab.node(id).val.get();
-            return true;
-        }
-        if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let (_, Some(id)) = self.find(prevt, ob, key) {
-                    *ret_val = self.slab.node(id).val.get();
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Chain search under exclusion: `(predecessor id | NIL, node id)`.
-    fn find(&self, t: &Table, idx: usize, key: u64) -> (u64, Option<u64>) {
-        let mut prev = NIL;
-        let mut bp = t.bucket(idx).get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                return (prev, Some(bp));
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        (prev, None)
-    }
-
-    /// Overwrite `id`'s value inside a conflicting region.
-    fn overwrite(&self, cs: &CsCtx<'_>, hash: usize, id: u64, val: V) {
-        let ver = self.ver_of(hash);
-        let bump = cs.could_swopt_be_running();
-        if bump {
-            ver.begin_conflicting_action();
-        }
-        self.slab.node(id).val.set(val);
-        if bump {
-            ver.end_conflicting_action();
-        }
+        let Some((_, _, id)) = self.find(self.meta.load(), hash, key) else {
+            return false;
+        };
+        *ret_val = self.slab.node(id).val.get();
+        true
     }
 
     fn insert_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64, val: V, new_id: u64) -> bool {
-        let [cur, prev, cursor, _] = self.meta.load();
-        let curt = self.tables.get(cur);
-        let idx = self.route_insert(hash, curt, prev);
-        if let (_, Some(id)) = self.find(curt, idx, key) {
-            self.overwrite(cs, hash, id, val);
+        let meta = self.meta.load();
+        if let Some((_, _, id)) = self.find(meta, hash, key) {
+            // Overwrite in place, whichever table holds the node: lookups
+            // still consult the old table for buckets at or past the
+            // cursor. The conflicting region — a SWOpt reader may be about
+            // to copy this value.
+            self.ver_of(hash)
+                .conflicting(cs.could_swopt_be_running(), || {
+                    self.slab.node(id).val.set(val)
+                });
             return false;
-        }
-        if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let (_, Some(id)) = self.find(prevt, ob, key) {
-                    // Not yet migrated: overwrite in place — lookups still
-                    // consult this table for buckets at or past the cursor.
-                    self.overwrite(cs, hash, id, val);
-                    return false;
-                }
-            }
         }
         // Fresh link at the head of the current-table chain. Publishing a
         // fully-initialised node is not a conflicting action: readers see
         // the old or the new chain.
-        self.slab.node(new_id).next.set(curt.bucket(idx).get());
-        curt.bucket(idx).set(new_id);
+        let curt = self.tables.get(meta[0]);
+        let idx = self.route_insert(hash, curt, meta[1]);
+        self.slab.link_front(curt.bucket(idx), new_id);
         self.count.set(self.count.get() + 1);
         true
     }
 
+    /// Remove `key` from whichever table holds it; the splice is the
+    /// conflicting region.
     fn remove_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64) -> Option<u64> {
-        let [cur, prev, cursor, _] = self.meta.load();
-        let curt = self.tables.get(cur);
-        let cidx = hash & curt.mask;
-        if let (p, Some(id)) = self.find(curt, cidx, key) {
-            self.unlink(cs, hash, curt, cidx, p, id);
-            return Some(id);
-        }
-        if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let (p, Some(id)) = self.find(prevt, ob, key) {
-                    self.unlink(cs, hash, prevt, ob, p, id);
-                    return Some(id);
-                }
-            }
-        }
-        None
-    }
-
-    /// Splice `id` out of `t`'s chain at `idx` inside a conflicting region.
-    fn unlink(&self, cs: &CsCtx<'_>, hash: usize, t: &Table, idx: usize, prev: u64, id: u64) {
+        let (head, prev, id) = self.find(self.meta.load(), hash, key)?;
         let next = self.slab.node(id).next.get();
-        let ver = self.ver_of(hash);
-        let bump = cs.could_swopt_be_running();
-        if bump {
-            ver.begin_conflicting_action();
-        }
-        if prev == NIL {
-            t.bucket(idx).set(next);
-        } else {
-            self.slab.node(prev).next.set(next);
-        }
-        if bump {
-            ver.end_conflicting_action();
-        }
+        self.ver_of(hash)
+            .conflicting(cs.could_swopt_be_running(), || {
+                self.slab.unlink(head, prev, next)
+            });
         self.count.set(self.count.get() - 1);
+        Some(id)
     }
 
     /// One migration step under the already-entered critical section:
@@ -396,21 +323,16 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         // old bucket, not yet linked into the new one). The bracket on the
         // table-pointer version is what turns that torn lookup into a
         // validation failure.
-        if brackets {
-            self.meta.version().begin_conflicting_action();
-        }
-        prevt.bucket(idx).set(NIL);
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            let next = node.next.get();
-            let nb = hash_of(node.key.get()) & curt.mask;
-            node.next.set(curt.bucket(nb).get());
-            curt.bucket(nb).set(bp);
-            bp = next;
-        }
-        if brackets {
-            self.meta.version().end_conflicting_action();
-        }
+        self.meta.version().conflicting(brackets, || {
+            prevt.bucket(idx).set(NIL);
+            while bp != NIL {
+                let node = self.slab.node(bp);
+                let next = node.next.get();
+                let nb = hash_of(node.key.get()) & curt.mask;
+                self.slab.link_front(curt.bucket(nb), bp);
+                bp = next;
+            }
+        });
         if bump && !brackets {
             // MUTATION (`mut-resize-skip-republish`): the chains moved
             // *before* any version bump — a reader that overlapped the
@@ -418,8 +340,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
             // even version and reported the key absent. The late bump
             // cannot un-tell it. ale-check's torn-lookup oracle must catch
             // this.
-            self.meta.version().begin_conflicting_action();
-            self.meta.version().end_conflicting_action();
+            self.meta.version().conflicting(true, || {});
         }
         self.meta.store([cur, prev, cursor + 1, epoch]);
         true
@@ -642,12 +563,8 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
                 let [cur, prev, _, _] = s.meta.load();
                 let mut n = 0;
                 let mut sweep = |t: &Table| {
-                    for i in 0..t.len() {
-                        let mut bp = t.bucket(i).get();
-                        while bp != NIL {
-                            n += 1;
-                            bp = s.slab.node(bp).next.get();
-                        }
+                    for head in t.heads() {
+                        s.slab.sweep(head, |_| n += 1);
                     }
                 };
                 sweep(s.tables.get(cur));

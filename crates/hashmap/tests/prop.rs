@@ -6,7 +6,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ale_core::{Ale, AleConfig, StaticPolicy};
-use ale_hashmap::{AleHashMap, MapConfig};
+use ale_hashmap::{AleHashMap, MapConfig, NodeSlab, NIL};
+use ale_htm::HtmCell;
 use ale_vtime::Platform;
 use proptest::prelude::*;
 
@@ -110,53 +111,77 @@ proptest! {
     }
 }
 
-mod list_props {
-    use std::collections::BTreeSet;
+/// The chain engine against a `Vec` of keys, front first.
+#[derive(Debug, Clone)]
+enum ChainOp {
+    /// Link a fresh node unless the key is present.
+    Link(u64),
+    Unlink(u64),
+    MoveToFront(u64),
+}
 
-    use ale_core::{Ale, AleConfig, StaticPolicy};
-    use ale_hashmap::AleSortedList;
-    use ale_vtime::Platform;
-    use proptest::prelude::*;
+fn chain_op(keys: u64) -> impl Strategy<Value = ChainOp> {
+    prop_oneof![
+        3 => (0..keys).prop_map(ChainOp::Link),
+        2 => (0..keys).prop_map(ChainOp::Unlink),
+        2 => (0..keys).prop_map(ChainOp::MoveToFront),
+    ]
+}
 
-    #[derive(Debug, Clone)]
-    enum LOp {
-        Insert(u64),
-        Remove(u64),
-        Contains(u64),
-    }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    fn lop(keys: u64) -> impl Strategy<Value = LOp> {
-        prop_oneof![
-            3 => (0..keys).prop_map(LOp::Insert),
-            2 => (0..keys).prop_map(LOp::Remove),
-            3 => (0..keys).prop_map(LOp::Contains),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// The sorted list matches BTreeSet under arbitrary scripts, on an
-        /// HTM platform and on a SWOpt-only platform.
-        #[test]
-        fn list_matches_btreeset(
-            script in proptest::collection::vec(lop(64), 0..120),
-            htm in any::<bool>(),
-        ) {
-            let platform = if htm { Platform::testbed() } else { Platform::t2() };
-            let ale = Ale::new(AleConfig::new(platform).with_seed(6), StaticPolicy::new(4, 8));
-            let list = AleSortedList::new(&ale, 4096);
-            let mut model = BTreeSet::new();
-            for op in &script {
-                match *op {
-                    LOp::Insert(k) => prop_assert_eq!(list.insert(k), model.insert(k)),
-                    LOp::Remove(k) => prop_assert_eq!(list.remove(k), model.remove(&k)),
-                    LOp::Contains(k) => prop_assert_eq!(list.contains(k), model.contains(&k)),
+    /// After every step of a random link/unlink/move-to-front script the
+    /// unvalidated walk finds exactly the model's keys, reports the
+    /// model's predecessor, and the sweep yields the model's order.
+    #[test]
+    fn chain_engine_matches_vec_model(script in proptest::collection::vec(chain_op(12), 0..80)) {
+        let slab: NodeSlab<u64> = NodeSlab::with_capacity(64);
+        let head = HtmCell::new(NIL);
+        let mut model: Vec<u64> = Vec::new();
+        for op in &script {
+            match *op {
+                ChainOp::Link(k) => {
+                    let (_, id) = slab.find(&head, k);
+                    prop_assert_eq!(id != NIL, model.contains(&k));
+                    if id == NIL {
+                        slab.link_front(&head, slab.alloc(k, k));
+                        model.insert(0, k);
+                    }
+                }
+                ChainOp::Unlink(k) => {
+                    let (prev, id) = slab.find(&head, k);
+                    prop_assert_eq!(id != NIL, model.contains(&k));
+                    if id != NIL {
+                        slab.unlink(&head, prev, slab.node(id).next.get());
+                        slab.free(id);
+                        model.retain(|&m| m != k);
+                    }
+                }
+                ChainOp::MoveToFront(k) => {
+                    let (prev, id) = slab.find(&head, k);
+                    if id != NIL {
+                        slab.move_to_front(&head, prev, id);
+                        model.retain(|&m| m != k);
+                        model.insert(0, k);
+                    }
                 }
             }
-            let snap = list.snapshot();
-            let want: Vec<u64> = model.iter().copied().collect();
-            prop_assert_eq!(snap, want, "final contents must match, in order");
+            let mut order = Vec::new();
+            slab.sweep(&head, |id| order.push(slab.node(id).key.get()));
+            prop_assert_eq!(&order, &model);
+            for k in 0..12 {
+                let (prev, id) = slab.walk(&head, k, || true).expect("unvalidated");
+                match model.iter().position(|&m| m == k) {
+                    None => prop_assert_eq!(id, NIL),
+                    Some(at) => {
+                        prop_assert_eq!(slab.node(id).key.get(), k);
+                        let want_prev = at.checked_sub(1).map(|p| model[p]);
+                        let got_prev = (prev != NIL).then(|| slab.node(prev).key.get());
+                        prop_assert_eq!(got_prev, want_prev);
+                    }
+                }
+            }
         }
     }
 }

@@ -30,10 +30,6 @@
 //! control-flow reset to the abort handler. User code never observes the
 //! unwind.
 //!
-//! With the `real-rtm` cargo feature on x86-64, the [`rtm`] module provides
-//! an [`attempt`]-shaped entry point that executes on actual Intel RTM
-//! hardware when available at runtime.
-//!
 //! ## Example
 //!
 //! ```
@@ -58,8 +54,6 @@ pub mod abort;
 pub mod besteffort;
 pub mod cell;
 pub mod inject;
-#[cfg(all(feature = "real-rtm", target_arch = "x86_64"))]
-pub mod rtm;
 pub mod storm;
 pub mod txn;
 

@@ -19,7 +19,9 @@
 
 use std::sync::Arc;
 
-use ale_core::{scope, Ale, AleLock, AleRwLock, CsCtx, CsOptions, CsOutcome, ExecMode, LockMeta};
+use ale_core::{
+    scope, Ale, AleLock, AleRwLock, CsCtx, CsOptions, CsOutcome, ExecMode, LockMeta, ScopeId,
+};
 use ale_hashmap::node::NIL;
 use ale_sync::{RwLock, SpinLock};
 
@@ -109,31 +111,25 @@ impl AleCacheDb {
         }
     }
 
-    /// Optimistic slot search for the external SWOpt path. Returns
-    /// `Err(())` on interference, `Ok(hit)` otherwise.
-    // ale-lint: swopt
-    fn optimistic_search(&self, slot: &Slot, key: u64) -> Result<bool, ()> {
-        let v = slot.ver.read(true);
-        let idx = slot.bucket_of(key);
-        let mut bp = slot.buckets[idx].get();
-        if !slot.ver.validate(v) {
-            return Err(());
-        }
-        while bp != NIL {
-            let node = slot.slab.node(bp);
-            let k = node.key.get();
-            if !slot.ver.validate(v) {
-                return Err(());
+    /// The hit path's record work under the nested slot critical section
+    /// `scope`: read the value, then touch (Kyoto's move-to-front) inside
+    /// the conflicting region.
+    fn touch(&self, ds: &DbSlot, scope: &'static ScopeId, key: u64) -> Option<Value> {
+        ds.lock.cs_plain(scope, CsOptions::new(), |ics| {
+            let (prev, id) = ds.store.search(key);
+            if id == NIL {
+                // Gone since the optimistic search.
+                return None;
             }
-            if k == key {
-                return Ok(true);
+            let val = ds.store.slab.node(id).val.get();
+            if ds.store.payload_cells() > 0 {
+                std::hint::black_box(ds.store.read_payload(id));
             }
-            bp = node.next.get();
-            if !slot.ver.validate(v) {
-                return Err(());
-            }
-        }
-        Ok(false)
+            ds.store.ver.conflicting(self.bump_needed(ics), || {
+                ds.store.move_to_front(key, prev, id)
+            });
+            Some(val)
+        })
     }
 
     /// The external readers-writer lock's metadata (poison inspection and
@@ -185,18 +181,13 @@ impl KyotoDb for AleCacheDb {
                     .cs_plain(scope!("CacheDb::set::slot"), CsOptions::new(), |ics| {
                         let (prev, id) = ds.store.search(key);
                         if id != NIL {
-                            let bump = self.bump_needed(ics);
-                            if bump {
-                                ds.store.ver.begin_conflicting_action();
-                            }
-                            ds.store.slab.node(id).val.set(value);
-                            if ds.store.payload_cells() > 0 {
-                                ds.store.write_payload(id, value);
-                            }
-                            ds.store.move_to_front(key, prev, id);
-                            if bump {
-                                ds.store.ver.end_conflicting_action();
-                            }
+                            ds.store.ver.conflicting(self.bump_needed(ics), || {
+                                ds.store.slab.node(id).val.set(value);
+                                if ds.store.payload_cells() > 0 {
+                                    ds.store.write_payload(id, value);
+                                }
+                                ds.store.move_to_front(key, prev, id);
+                            });
                             false
                         } else {
                             if ds.store.payload_cells() > 0 {
@@ -221,61 +212,22 @@ impl KyotoDb for AleCacheDb {
             scope!("CacheDb::get"),
             CsOptions::new().with_swopt().non_conflicting(),
             |outer| {
+                // The two nested call sites are separate scope declarations
+                // on purpose: the SWOpt-hit touch and the HTM/Lock touch
+                // are distinct contexts and adapt independently.
                 if outer.is_swopt() {
                     // Optimistic search: a miss completes without locks.
-                    match self.optimistic_search(&ds.store, key) {
-                        Err(()) => return CsOutcome::SwOptFail,
-                        Ok(false) => return CsOutcome::Done(None),
-                        Ok(true) => {}
-                    }
-                    // Hit: the touch (move-to-front) needs the nested CS.
-                    let got =
-                        ds.lock
-                            .cs_plain(scope!("CacheDb::get::slot"), CsOptions::new(), |ics| {
-                                let (prev, id) = ds.store.search(key);
-                                if id == NIL {
-                                    // Gone since the optimistic search.
-                                    return None;
-                                }
-                                let val = ds.store.slab.node(id).val.get();
-                                if ds.store.payload_cells() > 0 {
-                                    std::hint::black_box(ds.store.read_payload(id));
-                                }
-                                let bump = self.bump_needed(ics);
-                                if bump {
-                                    ds.store.ver.begin_conflicting_action();
-                                }
-                                ds.store.move_to_front(key, prev, id);
-                                if bump {
-                                    ds.store.ver.end_conflicting_action();
-                                }
-                                Some(val)
-                            });
-                    return CsOutcome::Done(got);
+                    return match ds.store.search_swopt(key) {
+                        None => CsOutcome::SwOptFail,
+                        Some(false) => CsOutcome::Done(None),
+                        // Hit: the touch needs the nested CS.
+                        Some(true) => {
+                            CsOutcome::Done(self.touch(ds, scope!("CacheDb::get::slot"), key))
+                        }
+                    };
                 }
                 // HTM or Lock external mode: nested slot CS directly.
-                let got = ds
-                    .lock
-                    .cs_plain(scope!("CacheDb::get::slot"), CsOptions::new(), |ics| {
-                        let (prev, id) = ds.store.search(key);
-                        if id == NIL {
-                            return None;
-                        }
-                        let val = ds.store.slab.node(id).val.get();
-                        if ds.store.payload_cells() > 0 {
-                            std::hint::black_box(ds.store.read_payload(id));
-                        }
-                        let bump = self.bump_needed(ics);
-                        if bump {
-                            ds.store.ver.begin_conflicting_action();
-                        }
-                        ds.store.move_to_front(key, prev, id);
-                        if bump {
-                            ds.store.ver.end_conflicting_action();
-                        }
-                        Some(val)
-                    });
-                CsOutcome::Done(got)
+                CsOutcome::Done(self.touch(ds, scope!("CacheDb::get::slot"), key))
             },
         )
     }
@@ -288,10 +240,10 @@ impl KyotoDb for AleCacheDb {
             |outer| {
                 if outer.is_swopt() {
                     // A miss needs no mutation at all.
-                    match self.optimistic_search(&ds.store, key) {
-                        Err(()) => return CsOutcome::SwOptFail,
-                        Ok(false) => return CsOutcome::Done(None),
-                        Ok(true) => {}
+                    match ds.store.search_swopt(key) {
+                        None => return CsOutcome::SwOptFail,
+                        Some(false) => return CsOutcome::Done(None),
+                        Some(true) => {}
                     }
                 }
                 let r =
@@ -301,14 +253,9 @@ impl KyotoDb for AleCacheDb {
                             if id == NIL {
                                 return None;
                             }
-                            let bump = self.bump_needed(ics);
-                            if bump {
-                                ds.store.ver.begin_conflicting_action();
-                            }
-                            ds.store.unlink(key, prev, id);
-                            if bump {
-                                ds.store.ver.end_conflicting_action();
-                            }
+                            ds.store.ver.conflicting(self.bump_needed(ics), || {
+                                ds.store.unlink(key, prev, id)
+                            });
                             Some(id)
                         });
                 CsOutcome::Done(r)
@@ -355,12 +302,7 @@ impl KyotoDb for AleCacheDb {
                     let ids = ds.lock.cs_plain(
                         scope!("CacheDb::clear::slot"),
                         CsOptions::new().without_htm(),
-                        |_| {
-                            ds.store.ver.begin_conflicting_action();
-                            let ids = ds.store.clear_collect();
-                            ds.store.ver.end_conflicting_action();
-                            ids
-                        },
+                        |_| ds.store.ver.conflicting(true, || ds.store.clear_collect()),
                     );
                     all.push(ids);
                 }

@@ -8,6 +8,12 @@
 //! baseline ([`crate::TrylockspinDb`]), plus the [`KyotoDb`] trait the
 //! `wicked` workload drives.
 //!
+//! A slot is a bucket [`Table`], a [`NodeSlab`] and one version number.
+//! Its chains are searched, linked, unlinked, reordered and swept by
+//! `ale-hashmap`'s chain engine — the same walk the HashMap and the sharded
+//! map use; the slot adds only the key → chain-head hash, the optimistic
+//! search against its single version, and the record payload.
+//!
 //! Like Kyoto's CacheDB, a successful lookup *mutates*: the record moves to
 //! the front of its bucket chain (LRU-ish bookkeeping). That detail is
 //! what makes the paper's `nomutate` statistics interesting — only misses
@@ -17,6 +23,7 @@ use ale_htm::HtmCell;
 use ale_sync::SeqVersion;
 
 use ale_hashmap::node::{NodeSlab, NIL};
+use ale_hashmap::resize::Table;
 
 pub use ale_hashmap::node::Node;
 
@@ -28,9 +35,11 @@ pub const SLOT_NUM: usize = 16;
 pub type Value = u64;
 
 /// One slot: a chained hash array plus its version number for optimistic
-/// readers.
+/// readers. The chains are driven by `ale-hashmap`'s chain engine (the
+/// [`NodeSlab`] methods); the slot adds the key → chain-head hash and the
+/// record payload.
 pub struct Slot {
-    pub buckets: Vec<HtmCell<u64>>,
+    table: Table,
     pub slab: NodeSlab<Value>,
     pub ver: SeqVersion,
     /// Per-record payload words (row-major: `node_id * payload_cells ..`),
@@ -39,7 +48,6 @@ pub struct Slot {
     /// real record copies do.
     payload: Vec<HtmCell<u64>>,
     payload_cells: usize,
-    mask: usize,
 }
 
 impl Slot {
@@ -49,16 +57,14 @@ impl Slot {
 
     /// As [`Slot::new`] with `payload_cells` extra words per record.
     pub fn with_payload(buckets: usize, capacity: u64, payload_cells: usize) -> Self {
-        let buckets = buckets.next_power_of_two();
         Slot {
-            buckets: (0..buckets).map(|_| HtmCell::new(NIL)).collect(),
+            table: Table::new(buckets),
             slab: NodeSlab::with_capacity(capacity),
             ver: SeqVersion::new(),
             payload: (0..capacity as usize * payload_cells)
                 .map(|_| HtmCell::new(0))
                 .collect(),
             payload_cells,
-            mask: buckets - 1,
         }
     }
 
@@ -89,71 +95,55 @@ impl Slot {
         self.payload_cells
     }
 
+    /// The head cell of `key`'s bucket chain.
     #[inline]
-    pub fn bucket_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0xD134_2543_DE82_EF95) >> 32) as usize & self.mask
+    pub fn head_of(&self, key: u64) -> &HtmCell<u64> {
+        let hash = (key.wrapping_mul(0xD134_2543_DE82_EF95) >> 32) as usize;
+        self.table.bucket(hash & self.table.mask)
     }
 
     /// Search a bucket chain. Returns `(prev, id)`; `id == NIL` on miss.
-    /// Caller must hold the slot lock, be inside a transaction, or follow
-    /// an optimistic protocol validated against [`Slot::ver`].
+    /// Caller must hold the slot lock or be inside a transaction.
     pub fn search(&self, key: u64) -> (u64, u64) {
-        let idx = self.bucket_of(key);
-        let mut prev = NIL;
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                return (prev, bp);
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        (prev, NIL)
+        self.slab.find(self.head_of(key), key)
+    }
+
+    /// Optimistic search validated against [`Slot::ver`]: `None` on
+    /// interference, else whether the key is present.
+    // ale-lint: swopt
+    pub fn search_swopt(&self, key: u64) -> Option<bool> {
+        let v = self.ver.read(true);
+        let (_, id) = self
+            .slab
+            .walk(self.head_of(key), key, || self.ver.validate(v))?;
+        Some(id != NIL)
     }
 
     /// Move a found node to the front of its bucket (Kyoto's access-order
     /// bookkeeping). A conflicting action: callers bracket it with the
     /// slot version unless soundly elided.
     pub fn move_to_front(&self, key: u64, prev: u64, id: u64) {
-        if prev == NIL {
-            return; // already at the head
-        }
-        let idx = self.bucket_of(key);
-        let next = self.slab.node(id).next.get();
-        self.slab.node(prev).next.set(next);
-        self.slab.node(id).next.set(self.buckets[idx].get());
-        self.buckets[idx].set(id);
+        self.slab.move_to_front(self.head_of(key), prev, id);
     }
 
-    /// Unlink a found node. A conflicting action (see `move_to_front`).
+    /// Unlink a found node. A conflicting action (see `move_to_front`);
+    /// the successor is read inside the caller's bracket.
     pub fn unlink(&self, key: u64, prev: u64, id: u64) {
-        let idx = self.bucket_of(key);
         let next = self.slab.node(id).next.get();
-        if prev == NIL {
-            self.buckets[idx].set(next);
-        } else {
-            self.slab.node(prev).next.set(next);
-        }
+        self.slab.unlink(self.head_of(key), prev, next);
     }
 
     /// Link a pre-allocated node at the bucket head (not conflicting:
     /// publishes a fully-initialised node atomically).
     pub fn link_front(&self, key: u64, id: u64) {
-        let idx = self.bucket_of(key);
-        self.slab.node(id).next.set(self.buckets[idx].get());
-        self.buckets[idx].set(id);
+        self.slab.link_front(self.head_of(key), id);
     }
 
     /// Number of records (caller must exclude writers).
     pub fn count(&self) -> usize {
         let mut n = 0;
-        for b in &self.buckets {
-            let mut bp = b.get();
-            while bp != NIL {
-                n += 1;
-                bp = self.slab.node(bp).next.get();
-            }
+        for head in self.table.heads() {
+            self.slab.sweep(head, |_| n += 1);
         }
         n
     }
@@ -162,13 +152,9 @@ impl Slot {
     /// after its critical section commits).
     pub fn clear_collect(&self) -> Vec<u64> {
         let mut ids = Vec::new();
-        for b in &self.buckets {
-            let mut bp = b.get();
-            while bp != NIL {
-                ids.push(bp);
-                bp = self.slab.node(bp).next.get();
-            }
-            b.set(NIL);
+        for head in self.table.heads() {
+            self.slab.sweep(head, |id| ids.push(id));
+            head.set(NIL);
         }
         ids
     }

@@ -118,7 +118,7 @@ pub struct PFn {
     pub ops: Vec<Op>,
 }
 
-/// The argument extent of an `attempt(..)` / `attempt_rtm(..)` call — code
+/// The argument extent of an `attempt(..)` call — code
 /// handed to the HTM engine, a root for the transitive HTM rules.
 #[derive(Debug, Clone)]
 pub struct HtmExtent {
@@ -253,7 +253,6 @@ fn is_noncall(name: &str) -> bool {
             | "begin_conflicting_action"
             | "end_conflicting_action"
             | "attempt"
-            | "attempt_rtm"
             | "emit"
             | "tick"
     )
@@ -310,11 +309,11 @@ pub fn parse_file(
         });
     }
 
-    // attempt(..) / attempt_rtm(..) argument extents outside test code.
+    // attempt(..) argument extents outside test code.
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
-        let is_attempt = (t.is_ident("attempt") || t.is_ident("attempt_rtm"))
+        let is_attempt = t.is_ident("attempt")
             && !(i > 0 && toks[i - 1].is_ident("fn"))
             && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
         if is_attempt && !test_ranges.iter().any(|&(a, b)| a <= i && i <= b) {

@@ -259,7 +259,7 @@ fn is_trace_emit(toks: &[Tok], i: usize) -> bool {
 }
 
 /// `htm-body-hygiene`: code passed to the HTM engine (closure arguments of
-/// `attempt(..)` / `attempt_rtm(..)`, plus functions opted in with the
+/// `attempt(..)`, plus functions opted in with the
 /// `htm-body` marker comment) must avoid allocation, IO, and unwinding.
 ///
 /// One call is exempt: `trace::emit(..)` / `ale_trace::emit(..)`. The
@@ -272,9 +272,7 @@ fn htm_body_hygiene(ctx: &FileCtx) -> Vec<Finding> {
     }
     let mut extents: Vec<(usize, usize, String)> = Vec::new();
     for i in 0..ctx.toks.len() {
-        if (is_call_of(ctx.toks, i, "attempt") || is_call_of(ctx.toks, i, "attempt_rtm"))
-            && !ctx.in_test_code(i)
-        {
+        if is_call_of(ctx.toks, i, "attempt") && !ctx.in_test_code(i) {
             let close = match_delim(ctx.toks, i + 1, '(', ')');
             extents.push((i + 1, close, format!("{}(..)", ctx.toks[i].text)));
         }

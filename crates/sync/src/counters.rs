@@ -16,6 +16,7 @@
 //!
 //! Layout of the shared word: `mantissa (48 bits) | exponent (16 bits)`.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ale_vtime::{tick, Event, Rng};
@@ -34,6 +35,28 @@ fn pack(mantissa: u64, exp: u64) -> u64 {
 #[inline]
 fn unpack(word: u64) -> (u64, u64) {
     (word >> 16, word & 0xFFFF)
+}
+
+thread_local! {
+    /// Step counter of [`fold_draw`].
+    static FOLD_STATE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// 64 random bits for [`StatCounter::add`]'s rounding: a SplitMix64 step on
+/// a thread-local counter, keyed by the counter's own address so concurrent
+/// flushers do not round in lockstep. Deliberately not the lane's [`Rng`]:
+/// `add` has no `rng` parameter, and its draws must not perturb simulated
+/// streams.
+#[inline]
+fn fold_draw() -> u64 {
+    FOLD_STATE.with(|s| {
+        let x = s.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
+        s.set(x);
+        let x = x ^ (s as *const Cell<u64> as u64);
+        let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    })
 }
 
 /// A scalable, probabilistically-updated event counter (increment-by-one
@@ -99,19 +122,21 @@ impl StatCounter {
         }
     }
 
-    /// Fold a pre-aggregated batch of `n` events into the counter with one
-    /// shared update. This is the flush half of the fast path's
-    /// thread-local delta batching, and it only runs where `tick` is a
-    /// no-op: under the virtual-time simulator the runtime keeps per-event
-    /// [`inc`] so schedules and digests stay bit-identical, and on real
-    /// hardware the batched sink records into a stack-local delta and
-    /// flushes here — tick- and RNG-free, one CAS loop per counter instead
-    /// of one per event. Exact while the exponent is zero (the regime
-    /// every ale-check workload stays in); above threshold the batch folds
-    /// at the counter's current resolution — rounded to the nearest
-    /// multiple of `2^exp`, so each flush perturbs the projection by at
-    /// most half a quantum instead of drawing per-event thinning
-    /// decisions.
+    /// Fold a pre-aggregated batch of `n` events into the counter. This is
+    /// the flush half of the fast path's thread-local delta batching, and
+    /// it only runs where `tick` is a no-op: under the virtual-time
+    /// simulator the runtime keeps per-event [`inc`] so schedules and
+    /// digests stay bit-identical, and on real hardware the batched sink
+    /// records into a stack-local delta and flushes here — tick-free, at
+    /// most one CAS loop per counter instead of one per event.
+    ///
+    /// Exact and RNG-free while the exponent is zero (the regime every
+    /// ale-check workload stays in). Above threshold the batch folds at the
+    /// counter's resolution without bias, the batched form of [`inc`]'s
+    /// thinning: `n >> exp` whole units, plus one more with probability
+    /// `(n mod 2^exp) / 2^exp`. A draw that yields no unit returns without
+    /// touching the shared word, so a stream of small flushes costs what a
+    /// stream of `inc`s does.
     ///
     /// [`inc`]: StatCounter::inc
     #[inline]
@@ -120,14 +145,21 @@ impl StatCounter {
             return;
         }
         let mut backoff = Backoff::with_max_exp(6);
+        let mut draw = None;
         loop {
             let w = self.word.load(Ordering::Relaxed);
             let (m, e) = unpack(w);
             let units = if e == 0 {
                 n
             } else {
-                (n + ((1u64 << e) >> 1)) >> e
+                // One draw per call, reused if the CAS has to retry.
+                let r = *draw.get_or_insert_with(fold_draw);
+                let mask = (1u64 << e) - 1;
+                (n >> e) + u64::from((r & mask) < (n & mask))
             };
+            if units == 0 {
+                return;
+            }
             let (mut nm, mut ne) = (m + units, e);
             while nm >= MANTISSA_THRESHOLD * 2 {
                 nm = nm.div_ceil(2);
@@ -169,6 +201,12 @@ impl StatCounter {
 mod tests {
     use super::*;
 
+    fn assert_within(c: &StatCounter, n: u64, tolerance: f64) {
+        let est = c.read();
+        let err = (est as f64 - n as f64).abs() / n as f64;
+        assert!(err < tolerance, "estimate {est} vs true {n} (err {err:.4})");
+    }
+
     #[test]
     fn exact_below_threshold() {
         let c = StatCounter::new();
@@ -191,9 +229,7 @@ mod tests {
             c.inc(&mut rng);
         }
         assert!(!c.is_exact());
-        let est = c.read();
-        let err = (est as f64 - n as f64).abs() / n as f64;
-        assert!(err < 0.05, "estimate {est} vs true {n} (err {err:.4})");
+        assert_within(&c, n, 0.05);
     }
 
     #[test]
@@ -212,10 +248,72 @@ mod tests {
                 });
             }
         });
-        let n = per_thread * threads;
-        let est = c.read();
-        let err = (est as f64 - n as f64).abs() / n as f64;
-        assert!(err < 0.08, "estimate {est} vs true {n} (err {err:.4})");
+        assert_within(&c, per_thread * threads, 0.08);
+    }
+
+    /// The batched flush must keep counting past the exact regime: the
+    /// parent's round-to-nearest fold turned every `add(1)` into 0 units
+    /// once the exponent reached 2 and froze the counter at 16 384.
+    #[test]
+    fn add_stays_accurate_above_threshold() {
+        let c = StatCounter::new();
+        let n = 1_000_000u64;
+        for _ in 0..n {
+            c.add(1);
+        }
+        assert!(!c.is_exact());
+        assert_within(&c, n, 0.05);
+    }
+
+    #[test]
+    fn concurrent_adds_stay_accurate() {
+        let c = StatCounter::new();
+        let (threads, per_thread) = (4u64, 250_000u64);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    for _ in 0..per_thread {
+                        c.add(1);
+                    }
+                });
+            }
+        });
+        assert_within(&c, per_thread * threads, 0.08);
+    }
+
+    /// Exact regime: batches fold exactly; above it, mixed batch sizes
+    /// stay unbiased and small batches mostly leave the word alone.
+    #[test]
+    fn add_is_exact_then_thinned() {
+        let c = StatCounter::new();
+        for _ in 0..1000 {
+            c.add(3);
+        }
+        assert!(c.is_exact());
+        assert_eq!(c.read(), 3000);
+        let mut rng = Rng::new(11);
+        let mut total = 3000u64;
+        while total < 500_000 {
+            let n = 1 + rng.gen_range(7);
+            c.add(n);
+            total += n;
+        }
+        assert_within(&c, total, 0.05);
+        assert!(unpack(c.word.load(Ordering::Relaxed)).1 >= 2);
+        let mut prev = c.word.load(Ordering::Relaxed);
+        let mut changes = 0;
+        for _ in 0..1000 {
+            c.add(1);
+            let w = c.word.load(Ordering::Relaxed);
+            if w != prev {
+                changes += 1;
+                prev = w;
+            }
+        }
+        assert!(
+            changes < 500,
+            "add(1) must skip the shared word on most calls once exp >= 2: {changes}"
+        );
     }
 
     #[test]

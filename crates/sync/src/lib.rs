@@ -8,7 +8,9 @@
 //!   `is_locked()` *subscribes* to the lock word: any Lock-mode acquisition
 //!   invalidates concurrently-running transactions (the TLE soundness
 //!   requirement).
-//! * [`SpinLock`], [`TicketLock`] — mutual-exclusion locks.
+//! * [`SpinLock`] — the test-and-test-and-set lock every table uses;
+//!   [`ClhLock`] — a queue lock whose state is a pointer, kept as the
+//!   check that ALE elides "any type of lock".
 //! * [`RwLock`] — a writer-preference readers-writer lock with try-variants
 //!   (Kyoto Cabinet's locking structure; Courtois et al. [2]).
 //! * [`SeqLock`]/[`SeqVersion`] — sequence locks [1, 9] and the paper's
@@ -37,7 +39,6 @@ pub mod rwlock;
 pub mod seqlock;
 pub mod snzi;
 pub mod spinlock;
-pub mod ticket;
 pub mod timing;
 pub mod watchdog;
 
@@ -51,6 +52,5 @@ pub use rwlock::RwLock;
 pub use seqlock::{close_open_regions, open_region_count, SeqBuffer, SeqLock, SeqVersion};
 pub use snzi::{Snzi, SnziGuard};
 pub use spinlock::SpinLock;
-pub use ticket::TicketLock;
 pub use timing::SampledTime;
 pub use watchdog::{clear_stall_observer, set_park_thresholds, set_stall_observer, StallEvent};

@@ -146,6 +146,25 @@ impl SeqVersion {
         }
     }
 
+    /// Run `f` as a conflicting action: bracketed by
+    /// [`begin`](Self::begin_conflicting_action) /
+    /// [`end_conflicting_action`](Self::end_conflicting_action) when `bump`
+    /// is set, bare when the caller has established that no SWOpt reader
+    /// can be running (`COULD_SWOPT_BE_RUNNING`, §3.3). If `f` unwinds the
+    /// region stays open for [`close_open_regions`] to heal, exactly as
+    /// with a hand-written pair.
+    #[inline]
+    pub fn conflicting<R>(&self, bump: bool, f: impl FnOnce() -> R) -> R {
+        if bump {
+            self.begin_conflicting_action();
+        }
+        let r = f();
+        if bump {
+            self.end_conflicting_action();
+        }
+        r
+    }
+
     /// The paper's `GetVer`: read the version, optionally waiting until it
     /// is even (no conflicting region in progress).
     ///
@@ -479,6 +498,31 @@ mod tests {
         // Closing again is a no-op.
         close_open_regions(mark);
         assert_eq!(a.read(false), 2);
+    }
+
+    #[test]
+    fn conflicting_brackets_only_when_asked() {
+        let v = SeqVersion::new();
+        let seen = v.conflicting(false, || v.read(false));
+        assert_eq!((seen, v.read(false)), (0, 0), "no bump: version untouched");
+        let seen = v.conflicting(true, || v.read(false));
+        assert_eq!(seen, 1, "odd inside the region");
+        assert_eq!(v.read(false), 2, "even and +2 after it");
+    }
+
+    #[test]
+    fn conflicting_body_panic_is_healed_by_close_open_regions() {
+        let v = SeqVersion::new();
+        let mark = open_region_count();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            v.conflicting(true, || panic!("body failed mid-region"))
+        }));
+        assert!(r.is_err());
+        assert_eq!(v.read(false), 1, "the unwound region is still open");
+        // What ale-core's critical-section driver does before re-raising.
+        close_open_regions(mark);
+        assert_eq!(open_region_count(), mark);
+        assert_eq!(v.read(false), 2, "parity restored");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the synchronisation substrates.
 
 use ale_htm::HtmCell;
-use ale_sync::{RawLock, RawRwLock, RwLock, SeqVersion, Snzi, SpinLock, StatCounter, TicketLock};
+use ale_sync::{RawLock, RawRwLock, RwLock, SeqVersion, Snzi, SpinLock, StatCounter};
 use ale_vtime::{tick, Event, Platform, Rng, Sim};
 use proptest::prelude::*;
 
@@ -144,33 +144,27 @@ proptest! {
         prop_assert!(!s.query(), "indicator nonzero after all departures");
     }
 
-    /// Locks: any acquire/release interleaving driven sequentially keeps
+    /// SpinLock: any acquire/release interleaving driven sequentially keeps
     /// is_locked consistent; try_acquire agrees with state.
     #[test]
     fn mutex_state_machine(ops in proptest::collection::vec(any::<bool>(), 0..40)) {
         let spin = SpinLock::new();
-        let ticket = TicketLock::new();
         let mut held = false;
         for want_acquire in ops {
             if want_acquire && !held {
                 spin.acquire();
-                ticket.acquire();
                 held = true;
             } else if !want_acquire && held {
                 spin.release();
-                ticket.release();
                 held = false;
             }
             prop_assert_eq!(spin.is_locked(), held);
-            prop_assert_eq!(ticket.is_locked(), held);
             if held {
                 prop_assert!(!spin.try_acquire());
-                prop_assert!(!ticket.try_acquire());
             }
         }
         if held {
             spin.release();
-            ticket.release();
         }
     }
 
