@@ -15,18 +15,19 @@
 //! loop around `GetImp<true>`).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 use ale_htm::{AbortCode, BreakerTransition};
 use ale_sync::Backoff;
 use ale_vtime::{now, Rng};
 
 use crate::check_hooks::{emit, CsEvent};
-use crate::frame::{self, HeldKind};
+use crate::frame::HeldKind;
 use crate::granule::{Granule, StatSink};
 use crate::meta::LockMeta;
 use crate::mode::ExecMode;
 use crate::policy::{ExecRecord, ModeCaps};
+use crate::scope::ScopeId;
+use crate::thread::{self, CsThread};
 use crate::Ale;
 
 /// Explicit-abort code for "a nested critical section does not allow HTM"
@@ -249,6 +250,7 @@ impl Drop for StatFlushGuard<'_> {
 
 /// Release-on-drop guard so Lock mode unwinds cleanly.
 struct ReleaseGuard<'a, O: LockOps + ?Sized> {
+    t: &'a CsThread,
     ops: &'a O,
     lock_key: usize,
 }
@@ -258,19 +260,34 @@ impl<O: LockOps + ?Sized> Drop for ReleaseGuard<'_, O> {
         if std::thread::panicking() {
             // A panicking note_released here would double-panic and abort
             // the process; use the tolerant variant on the unwind path.
-            frame::note_released_on_unwind(self.lock_key);
+            self.t.note_released_on_unwind(self.lock_key);
         } else {
-            frame::note_released(self.lock_key);
+            self.t.note_released(self.lock_key);
         }
         self.ops.release();
     }
 }
 
-/// Execute one ALE critical section. The caller has already entered the
-/// scope (so `current_context` includes it).
-pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
+/// The whole `BEGIN_CS … END_CS` bracket: look the thread's block up (the
+/// one thread-local access this crate makes per critical section), enter
+/// the section's scope, run the driver.
+pub(crate) fn bracket<T, O: LockOps + ?Sized>(
     ale: &Ale,
-    meta: &Arc<LockMeta>,
+    meta: &LockMeta,
+    scope: &'static ScopeId,
+    ops: &O,
+    opts: CsOptions,
+    body: &mut dyn FnMut(&CsCtx<'_>) -> CsOutcome<T>,
+) -> T {
+    thread::with(|t| t.enter_scope(scope, || run_cs(t, ale, meta, ops, opts, body)))
+}
+
+/// Execute one ALE critical section on the thread whose block is `t`. The
+/// caller has already entered the scope (so `t.context()` includes it).
+fn run_cs<T, O: LockOps + ?Sized>(
+    t: &CsThread,
+    ale: &Ale,
+    meta: &LockMeta,
     ops: &O,
     opts: CsOptions,
     body: &mut dyn FnMut(&CsCtx<'_>) -> CsOutcome<T>,
@@ -284,12 +301,13 @@ pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
     }
 
     // --- Flattened nesting inside an HTM execution (§4.1) ---------------
-    if frame::in_htm_execution() {
+    if t.in_htm_execution() {
         if !opts.htm {
             ale_htm::explicit_abort(ABORT_NESTED_NO_HTM);
         }
-        let held_ok =
-            frame::held_kind(lock_key).is_some_and(|h| hold_satisfies(h, ops.required_hold()));
+        let held_ok = t
+            .held_kind(lock_key)
+            .is_some_and(|h| hold_satisfies(h, ops.required_hold()));
         if !held_ok && ops.is_conflicting_locked() {
             // Transactional read: we are now subscribed; abort since held.
             ale_htm::explicit_abort(AbortCode::LOCK_HELD);
@@ -310,13 +328,12 @@ pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
         };
     }
 
-    let context = crate::scope::current_context();
     let granule = meta
         .granules
-        .lookup(context, || ale.policy().make_granule_state());
-    let mut rng = ale.fork_thread_rng();
+        .lookup(t.context(), || ale.policy().make_granule_state());
+    let mut rng = t.fork_rng(ale.config().seed);
 
-    let held = frame::held_kind(lock_key);
+    let held = t.held_kind(lock_key);
     let reentrant = held.is_some_and(|h| hold_satisfies(h, ops.required_hold()));
     // A shared holder opening an exclusive critical section on the same
     // lock is a lock upgrade: unsupported (like the paper's library, ALE
@@ -331,7 +348,7 @@ pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
         swopt: opts.swopt
             && ale.swopt_enabled()
             && !reentrant
-            && !frame::in_swopt_for_other_lock(lock_key),
+            && !t.in_swopt_for_other_lock(lock_key),
     };
     // One-branch mode decision: a valid plan word whose absorbed bits
     // cover `caps` decides the whole execution with a single load+branch.
@@ -346,7 +363,7 @@ pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
                 .policy()
                 .plan_cacheable()
                 .then(|| granule.plan_cache.begin_publish());
-            let fresh = ale.policy().plan(meta, &granule, caps, &mut rng);
+            let fresh = ale.policy().plan(meta, granule, caps, &mut rng);
             if let Some(e) = epoch {
                 granule.plan_cache.publish(fresh, caps, e);
             }
@@ -364,12 +381,13 @@ pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
         sink: StatSink::new(&granule.stats),
     };
     let value = run_protocol(
+        t,
         ale,
         meta,
         ops,
         opts,
         body,
-        &granule,
+        granule,
         &mut rng,
         plan,
         use_grouping,
@@ -387,14 +405,15 @@ pub(crate) fn run_cs<T, O: LockOps + ?Sized>(
         granule.stats.exec_time.add_duration(total);
         rec.exec_ns = Some(total);
     }
-    ale.policy().on_complete(meta, &granule, &rec, &mut rng);
+    ale.policy().on_complete(meta, granule, &rec, &mut rng);
     value
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run_protocol<T, O: LockOps + ?Sized>(
+    t: &CsThread,
     ale: &Ale,
-    meta: &Arc<LockMeta>,
+    meta: &LockMeta,
     ops: &O,
     opts: CsOptions,
     body: &mut dyn FnMut(&CsCtx<'_>) -> CsOutcome<T>,
@@ -463,7 +482,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                         // Subscribed and held: abort, possibly retry later.
                         ale_htm::explicit_abort(AbortCode::LOCK_HELD);
                     }
-                    frame::with_frame(lock_key, ExecMode::Htm, || {
+                    t.with_frame(lock_key, ExecMode::Htm, || {
                         body(&CsCtx {
                             mode: ExecMode::Htm,
                             meta,
@@ -644,7 +663,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
             let force_bump = ale.config().force_version_bump;
             let region_mark = ale_sync::open_region_count();
             let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                frame::with_frame(lock_key, ExecMode::SwOpt, || {
+                t.with_frame(lock_key, ExecMode::SwOpt, || {
                     body(&CsCtx {
                         mode: ExecMode::SwOpt,
                         meta,
@@ -725,7 +744,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
         // Lock-mode execution poisons and releases.
         let region_mark = ale_sync::open_region_count();
         match catch_unwind(AssertUnwindSafe(|| {
-            frame::with_frame(lock_key, ExecMode::Lock, || {
+            t.with_frame(lock_key, ExecMode::Lock, || {
                 body(&CsCtx {
                     mode: ExecMode::Lock,
                     meta,
@@ -745,11 +764,11 @@ fn run_protocol<T, O: LockOps + ?Sized>(
         }
     } else {
         let kind = acquire_with_watchdog(ale, meta, ops);
-        frame::note_acquired(lock_key, kind);
-        let _release = ReleaseGuard { ops, lock_key };
+        t.note_acquired(lock_key, kind);
+        let _release = ReleaseGuard { t, ops, lock_key };
         let region_mark = ale_sync::open_region_count();
         match catch_unwind(AssertUnwindSafe(|| {
-            frame::with_frame(lock_key, ExecMode::Lock, || {
+            t.with_frame(lock_key, ExecMode::Lock, || {
                 body(&CsCtx {
                     mode: ExecMode::Lock,
                     meta,

@@ -12,10 +12,12 @@
 //!   the acquisition (Lock mode) or the lock check (HTM mode);
 //! * SWOpt is ineligible while the thread is in SWOpt mode for a critical
 //!   section of a *different* lock.
-
-use std::cell::RefCell;
+//!
+//! The two stacks are fields of the thread's [`CsThread`] block; this
+//! module holds the methods that read and write them.
 
 use crate::mode::ExecMode;
+use crate::thread::CsThread;
 
 /// How a held lock was acquired (readers-writer locks distinguish the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,143 +26,163 @@ pub(crate) enum HeldKind {
     Shared,
 }
 
-thread_local! {
-    static FRAMES: RefCell<Vec<(usize, ExecMode)>> = const { RefCell::new(Vec::new()) };
-    static HELD: RefCell<Vec<(usize, HeldKind)>> = const { RefCell::new(Vec::new()) };
-}
+impl CsThread {
+    /// Is the innermost active execution on this thread in HTM mode?
+    /// (If so, every nested critical section is flattened into it.)
+    pub(crate) fn in_htm_execution(&self) -> bool {
+        self.frames
+            .borrow()
+            .last()
+            .is_some_and(|&(_, m)| m == ExecMode::Htm)
+    }
 
-/// Is the innermost active execution on this thread in HTM mode?
-/// (If so, every nested critical section is flattened into it.)
-pub(crate) fn in_htm_execution() -> bool {
-    FRAMES.with(|f| f.borrow().last().is_some_and(|&(_, m)| m == ExecMode::Htm))
-}
-
-/// Is this thread executing in SWOpt mode for a critical section protected
-/// by a lock other than `lock_key`?
-pub(crate) fn in_swopt_for_other_lock(lock_key: usize) -> bool {
-    FRAMES.with(|f| {
-        f.borrow()
+    /// Is this thread executing in SWOpt mode for a critical section
+    /// protected by a lock other than `lock_key`?
+    pub(crate) fn in_swopt_for_other_lock(&self, lock_key: usize) -> bool {
+        self.frames
+            .borrow()
             .iter()
             .any(|&(k, m)| m == ExecMode::SwOpt && k != lock_key)
-    })
-}
-
-/// Current nesting depth of ALE frames on this thread.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn depth() -> usize {
-    FRAMES.with(|f| f.borrow().len())
-}
-
-/// Run one execution attempt under a frame recording (lock, mode).
-/// The frame pops even if `f` unwinds (HTM aborts unwind through here).
-pub(crate) fn with_frame<R>(lock_key: usize, mode: ExecMode, f: impl FnOnce() -> R) -> R {
-    FRAMES.with(|fr| fr.borrow_mut().push((lock_key, mode)));
-    struct PopGuard;
-    impl Drop for PopGuard {
-        fn drop(&mut self) {
-            FRAMES.with(|fr| {
-                fr.borrow_mut().pop().expect("frame stack underflow");
-            });
-        }
     }
-    let _guard = PopGuard;
-    f()
-}
 
-/// Does this thread hold `lock_key` (acquired in Lock mode)?
-pub(crate) fn held_kind(lock_key: usize) -> Option<HeldKind> {
-    HELD.with(|h| {
-        h.borrow()
+    /// Current nesting depth of ALE frames on this thread.
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
+        self.frames.borrow().len()
+    }
+
+    /// Run one execution attempt under a frame recording (lock, mode).
+    /// The frame pops even if `f` unwinds (HTM aborts unwind through here).
+    pub(crate) fn with_frame<R>(
+        &self,
+        lock_key: usize,
+        mode: ExecMode,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        self.frames.borrow_mut().push((lock_key, mode));
+        struct PopGuard<'a>(&'a CsThread);
+        impl Drop for PopGuard<'_> {
+            fn drop(&mut self) {
+                self.0
+                    .frames
+                    .borrow_mut()
+                    .pop()
+                    .expect("frame stack underflow");
+            }
+        }
+        let _guard = PopGuard(self);
+        f()
+    }
+
+    /// Does this thread hold `lock_key` (acquired in Lock mode)?
+    pub(crate) fn held_kind(&self, lock_key: usize) -> Option<HeldKind> {
+        self.held
+            .borrow()
             .iter()
             .rev()
             .find(|&&(k, _)| k == lock_key)
             .map(|&(_, kind)| kind)
-    })
-}
+    }
 
-/// Record an acquisition. Paired with [`note_released`]; the driver keeps
-/// the pairing even across unwinds via its own guards.
-pub(crate) fn note_acquired(lock_key: usize, kind: HeldKind) {
-    HELD.with(|h| h.borrow_mut().push((lock_key, kind)));
-}
+    /// Record an acquisition. Paired with [`CsThread::note_released`]; the
+    /// driver keeps the pairing even across unwinds via its own guards.
+    pub(crate) fn note_acquired(&self, lock_key: usize, kind: HeldKind) {
+        self.held.borrow_mut().push((lock_key, kind));
+    }
 
-pub(crate) fn note_released(lock_key: usize) {
-    HELD.with(|h| {
-        let mut h = h.borrow_mut();
-        let top = h.pop().expect("released a lock that was never acquired");
+    pub(crate) fn note_released(&self, lock_key: usize) {
+        let top = self
+            .held
+            .borrow_mut()
+            .pop()
+            .expect("released a lock that was never acquired");
         assert_eq!(top.0, lock_key, "locks must be released in LIFO order");
-    });
-}
+    }
 
-/// Unwind-path variant of [`note_released`]: never panics, because a second
-/// panic while already unwinding aborts the whole process. Removes the
-/// innermost matching hold if present and silently tolerates bookkeeping
-/// that the unwind has already torn down.
-pub(crate) fn note_released_on_unwind(lock_key: usize) {
-    HELD.with(|h| {
-        let mut h = h.borrow_mut();
+    /// Unwind-path variant of [`CsThread::note_released`]: never panics,
+    /// because a second panic while already unwinding aborts the whole
+    /// process. Removes the innermost matching hold if present and silently
+    /// tolerates bookkeeping that the unwind has already torn down.
+    pub(crate) fn note_released_on_unwind(&self, lock_key: usize) {
+        let mut h = self.held.borrow_mut();
         if let Some(pos) = h.iter().rposition(|&(k, _)| k == lock_key) {
             h.remove(pos);
         }
-    });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::thread;
+
     #[test]
     fn frames_nest_and_answer_queries() {
-        assert!(!in_htm_execution());
-        assert_eq!(depth(), 0);
-        with_frame(1, ExecMode::Lock, || {
-            assert_eq!(depth(), 1);
-            assert!(!in_htm_execution());
-            with_frame(2, ExecMode::Htm, || {
-                assert!(in_htm_execution());
-                assert_eq!(depth(), 2);
+        thread::with(|t| {
+            assert!(!t.in_htm_execution());
+            assert_eq!(t.depth(), 0);
+            t.with_frame(1, ExecMode::Lock, || {
+                assert_eq!(t.depth(), 1);
+                assert!(!t.in_htm_execution());
+                // A nested section reaches the same block through its own
+                // lookup and must find no borrow live.
+                thread::with(|inner| {
+                    inner.with_frame(2, ExecMode::Htm, || {
+                        assert!(t.in_htm_execution());
+                        assert_eq!(inner.depth(), 2);
+                    })
+                });
+                assert!(!t.in_htm_execution());
             });
-            assert!(!in_htm_execution());
+            assert_eq!(t.depth(), 0);
         });
-        assert_eq!(depth(), 0);
     }
 
     #[test]
     fn swopt_conflict_detection_is_per_lock() {
-        with_frame(1, ExecMode::SwOpt, || {
-            assert!(!in_swopt_for_other_lock(1), "same lock is allowed");
-            assert!(in_swopt_for_other_lock(2), "different lock is not");
+        thread::with(|t| {
+            t.with_frame(1, ExecMode::SwOpt, || {
+                assert!(!t.in_swopt_for_other_lock(1), "same lock is allowed");
+                assert!(t.in_swopt_for_other_lock(2), "different lock is not");
+            });
+            assert!(!t.in_swopt_for_other_lock(2));
         });
-        assert!(!in_swopt_for_other_lock(2));
     }
 
     #[test]
     fn held_locks_are_lifo_and_queryable() {
-        assert_eq!(held_kind(7), None);
-        note_acquired(7, HeldKind::Excl);
-        note_acquired(8, HeldKind::Shared);
-        assert_eq!(held_kind(7), Some(HeldKind::Excl));
-        assert_eq!(held_kind(8), Some(HeldKind::Shared));
-        note_released(8);
-        note_released(7);
-        assert_eq!(held_kind(7), None);
+        thread::with(|t| {
+            assert_eq!(t.held_kind(7), None);
+            t.note_acquired(7, HeldKind::Excl);
+            t.note_acquired(8, HeldKind::Shared);
+            assert_eq!(t.held_kind(7), Some(HeldKind::Excl));
+            assert_eq!(t.held_kind(8), Some(HeldKind::Shared));
+            t.note_released(8);
+            t.note_released(7);
+            assert_eq!(t.held_kind(7), None);
+        });
     }
 
     #[test]
     fn frame_pops_on_unwind() {
         let r = std::panic::catch_unwind(|| {
-            with_frame(3, ExecMode::Htm, || panic!("abort-like unwind"));
+            thread::with(|t| t.with_frame(3, ExecMode::Htm, || panic!("abort-like unwind")));
         });
         assert!(r.is_err());
-        assert_eq!(depth(), 0);
-        assert!(!in_htm_execution());
+        thread::with(|t| {
+            assert_eq!(t.depth(), 0);
+            assert!(!t.in_htm_execution());
+        });
     }
 
     #[test]
     #[should_panic(expected = "LIFO")]
     fn out_of_order_release_is_rejected() {
-        note_acquired(1, HeldKind::Excl);
-        note_acquired(2, HeldKind::Excl);
-        note_released(1);
+        thread::with(|t| {
+            t.note_acquired(1, HeldKind::Excl);
+            t.note_acquired(2, HeldKind::Excl);
+            t.note_released(1);
+        });
     }
 }

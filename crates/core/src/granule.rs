@@ -65,9 +65,11 @@ impl GranuleStats {
     }
 
     /// Fold a batched per-execution delta in: at most one shared update per
-    /// nonzero field, instead of one per recorded event. Tick- and
-    /// RNG-free; the batched path only runs outside the simulator (see
-    /// [`StatSink`]), so no virtual-time schedule ever depends on it.
+    /// nonzero field, instead of one per recorded event, and one rounding
+    /// draw for the whole flush (each counter takes its own rotation of
+    /// it). Tick- and RNG-free; the batched path only runs outside the
+    /// simulator (see [`StatSink`]), so no virtual-time schedule ever
+    /// depends on it.
     pub fn apply_delta(&self, d: &StatDelta) {
         let executions = d.executions;
         // MUTATION mut-stat-batch-lost: the flush silently drops the
@@ -76,16 +78,21 @@ impl GranuleStats {
         // observed completions) must catch this.
         #[cfg(feature = "mut-stat-batch-lost")]
         let executions = 0u32;
-        self.executions.add(executions as u64);
+        let mut draw = ale_sync::fold_draw();
+        let mut fold = |counter: &StatCounter, n: u32| {
+            counter.add_drawn(n as u64, draw);
+            draw = draw.rotate_left(5);
+        };
+        fold(&self.executions, executions);
         for i in 0..3 {
-            self.attempts[i].add(d.attempts[i] as u64);
-            self.successes[i].add(d.successes[i] as u64);
+            fold(&self.attempts[i], d.attempts[i]);
+            fold(&self.successes[i], d.successes[i]);
         }
-        self.lock_held_aborts.add(d.lock_held_aborts as u64);
-        self.conflict_aborts.add(d.conflict_aborts as u64);
-        self.capacity_aborts.add(d.capacity_aborts as u64);
-        self.spurious_aborts.add(d.spurious_aborts as u64);
-        self.swopt_fails.add(d.swopt_fails as u64);
+        fold(&self.lock_held_aborts, d.lock_held_aborts);
+        fold(&self.conflict_aborts, d.conflict_aborts);
+        fold(&self.capacity_aborts, d.capacity_aborts);
+        fold(&self.spurious_aborts, d.spurious_aborts);
+        fold(&self.swopt_fails, d.swopt_fails);
     }
 
     /// Clear all recorded statistics (used with `Ale::reset_statistics`).
@@ -485,12 +492,15 @@ impl GranuleTable {
     }
 
     /// Find the granule for `context`, creating it on first sight (with
-    /// policy state from `make_state`).
+    /// policy state from `make_state`). The reference borrows from the
+    /// table: no reference count moves, so the elided path writes no word
+    /// that other threads using the lock share. Callers that need to own
+    /// a granule take it from [`GranuleTable::all`].
     pub fn lookup(
         &self,
         context: ContextId,
         make_state: impl FnOnce() -> Box<dyn Any + Send + Sync>,
-    ) -> Arc<Granule> {
+    ) -> &Granule {
         tick(Event::SharedLoad);
         for slot in &self.slots {
             let p = slot.load(Ordering::Acquire);
@@ -498,12 +508,11 @@ impl GranuleTable {
                 break;
             }
             // SAFETY: slot pointers reference granules owned (and never
-            // dropped) by `self.owned` for the table's lifetime.
+            // dropped) by `self.owned` for the table's lifetime, which the
+            // returned borrow of `self` cannot outlive.
             let g = unsafe { &*p };
             if g.context == context {
-                // SAFETY: as above; the Arc in `owned` keeps the count ≥ 1.
-                unsafe { Arc::increment_strong_count(p) };
-                return unsafe { Arc::from_raw(p) };
+                return g;
             }
         }
         self.insert(context, make_state)
@@ -513,13 +522,23 @@ impl GranuleTable {
         &self,
         context: ContextId,
         make_state: impl FnOnce() -> Box<dyn Any + Send + Sync>,
-    ) -> Arc<Granule> {
+    ) -> &Granule {
         let mut owned = self.owned.lock();
-        // Re-scan under the lock (we may have raced another inserter).
-        for g in owned.iter() {
-            if g.context == context {
-                return Arc::clone(g);
-            }
+        // Re-scan under the lock (we may have raced another inserter); a
+        // full table merges the context into the last granule rather than
+        // grow — checked before anything is built, because an overflowed
+        // context comes back here on every one of its lookups.
+        let existing = match owned.iter().find(|g| g.context == context) {
+            Some(g) => Some(g),
+            None if owned.len() >= MAX_GRANULES_PER_LOCK => owned.last(),
+            None => None,
+        };
+        if let Some(g) = existing {
+            // SAFETY: `owned` never drops or moves a granule out for the
+            // table's lifetime (the `Arc` keeps the allocation in place
+            // when the `Vec` reallocates), and the returned borrow of
+            // `self` cannot outlive the table.
+            return unsafe { &*Arc::as_ptr(g) };
         }
         let granule = Arc::new(Granule {
             context,
@@ -536,14 +555,13 @@ impl GranuleTable {
                 b.set_trace_label(ale_trace::label_id(&granule.describe()));
             }
         }
-        if owned.len() >= MAX_GRANULES_PER_LOCK {
-            // Overflow: merge into the last granule rather than grow.
-            return Arc::clone(owned.last().expect("table full implies nonempty"));
-        }
+        let p = Arc::as_ptr(&granule);
         let idx = owned.len();
-        owned.push(Arc::clone(&granule));
-        self.slots[idx].store(Arc::as_ptr(&granule) as *mut Granule, Ordering::Release);
-        granule
+        owned.push(granule);
+        self.slots[idx].store(p as *mut Granule, Ordering::Release);
+        // SAFETY: as above — `owned` now keeps this granule alive for the
+        // table's lifetime.
+        unsafe { &*p }
     }
 
     /// Snapshot of all granules (for reports and phase transitions).
@@ -592,10 +610,10 @@ mod tests {
         let t = GranuleTable::new();
         let a = t.lookup(ContextId(1), no_state);
         let b = t.lookup(ContextId(1), no_state);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
         assert_eq!(t.len(), 1);
         let c = t.lookup(ContextId(2), no_state);
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!std::ptr::eq(a, c));
         assert_eq!(t.len(), 2);
         assert_eq!(t.all().len(), 2);
     }
@@ -607,9 +625,18 @@ mod tests {
             t.lookup(ContextId(i), no_state);
         }
         assert_eq!(t.len(), MAX_GRANULES_PER_LOCK);
-        let extra = t.lookup(ContextId(10_000), no_state);
+        // An overflowed context takes this path on every lookup, so it
+        // must not build (and throw away) a granule each time.
+        let mut built = 0;
+        for _ in 0..3 {
+            let extra = t.lookup(ContextId(10_000), || {
+                built += 1;
+                no_state()
+            });
+            assert_eq!(extra.context, ContextId(MAX_GRANULES_PER_LOCK as u64 - 1));
+        }
+        assert_eq!(built, 0, "a full table must not call make_state");
         assert_eq!(t.len(), MAX_GRANULES_PER_LOCK, "table must not grow");
-        assert_eq!(extra.context, ContextId(MAX_GRANULES_PER_LOCK as u64 - 1));
     }
 
     #[test]

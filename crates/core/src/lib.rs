@@ -46,10 +46,9 @@
 //! println!("{}", ale.report());
 //! ```
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
-use ale_sync::{RawLock, RawRwLock, TickMutex};
+use ale_sync::{CachePadded, RawLock, RawRwLock, TickMutex};
 use ale_vtime::{HtmProfile, Platform, Rng};
 
 pub mod check_hooks;
@@ -62,6 +61,7 @@ pub mod mode;
 pub mod policy;
 pub mod report;
 pub mod scope;
+mod thread;
 
 pub use check_hooks::{clear_cs_observer, set_cs_observer, CsEvent};
 pub use cs::{CsCtx, CsOptions, CsOutcome, CsProtocolError, ABORT_NESTED_NO_HTM, ABORT_PROTOCOL};
@@ -243,10 +243,6 @@ pub struct Ale {
     locks: TickMutex<Vec<Arc<LockMeta>>>,
 }
 
-thread_local! {
-    static THREAD_RNG: RefCell<Option<Rng>> = const { RefCell::new(None) };
-}
-
 impl Ale {
     /// Create a library instance with the given policy.
     pub fn new(config: AleConfig, policy: impl Policy) -> Arc<Ale> {
@@ -254,7 +250,7 @@ impl Ale {
             ale_trace::configure(t);
         }
         let htm_profile = if config.enable_htm {
-            config.platform.htm.clone()
+            config.platform.htm
         } else {
             None
         };
@@ -281,7 +277,7 @@ impl Ale {
         AleLock {
             ale: Arc::clone(self),
             meta,
-            lock,
+            lock: CachePadded::new(lock),
         }
     }
 
@@ -296,7 +292,7 @@ impl Ale {
         AleRwLock {
             ale: Arc::clone(self),
             meta,
-            lock,
+            lock: CachePadded::new(lock),
         }
     }
 
@@ -364,25 +360,6 @@ impl Ale {
     pub(crate) fn htm_profile(&self) -> Option<&HtmProfile> {
         self.htm_profile.as_ref()
     }
-
-    /// Fork a short-lived random stream for one critical-section execution
-    /// from the per-thread master stream (deterministic under simulation).
-    pub(crate) fn fork_thread_rng(&self) -> Rng {
-        let seed = self.config.seed;
-        THREAD_RNG.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let master = slot.get_or_insert_with(|| {
-                let lane = ale_vtime::lane_id().map(|l| l as u64).unwrap_or_else(|| {
-                    use std::hash::{Hash, Hasher};
-                    let mut h = std::hash::DefaultHasher::new();
-                    std::thread::current().id().hash(&mut h);
-                    h.finish()
-                });
-                Rng::new(seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            });
-            master.fork(0xC5)
-        })
-    }
 }
 
 impl std::fmt::Debug for Ale {
@@ -410,7 +387,13 @@ pub fn with_scope<R>(scope: &'static ScopeId, f: impl FnOnce() -> R) -> R {
 pub struct AleLock<L: RawLock> {
     ale: Arc<Ale>,
     meta: Arc<LockMeta>,
-    lock: L,
+    /// On its own cache line: every acquire and release writes the lock
+    /// word, while every section — elided ones included — reads `ale` and
+    /// `meta` beside it, and the owner's neighbouring fields (a table's
+    /// bucket and slab pointers) are read by every operation. The padding
+    /// also aligns the owner, so what shares a line with what does not
+    /// depend on where the owner is allocated.
+    lock: CachePadded<L>,
 }
 
 struct MutexOps<'a, L: RawLock>(&'a L);
@@ -447,15 +430,14 @@ impl<L: RawLock> AleLock<L> {
         opts: CsOptions,
         mut body: impl FnMut(&CsCtx<'_>) -> CsOutcome<T>,
     ) -> T {
-        scope::enter_scope(scope, || {
-            cs::run_cs(
-                &self.ale,
-                &self.meta,
-                &MutexOps(&self.lock),
-                opts,
-                &mut body,
-            )
-        })
+        cs::bracket(
+            &self.ale,
+            &self.meta,
+            scope,
+            &MutexOps(self.raw()),
+            opts,
+            &mut body,
+        )
     }
 
     /// Sugar for critical sections without a SWOpt path: the body returns
@@ -510,7 +492,8 @@ impl<L: RawLock> AleLock<L> {
 pub struct AleRwLock<L: RawRwLock> {
     ale: Arc<Ale>,
     meta: Arc<LockMeta>,
-    lock: L,
+    /// On its own cache line, as in [`AleLock`].
+    lock: CachePadded<L>,
 }
 
 struct SharedOps<'a, L: RawRwLock>(&'a L);
@@ -571,15 +554,14 @@ impl<L: RawRwLock> AleRwLock<L> {
         opts: CsOptions,
         mut body: impl FnMut(&CsCtx<'_>) -> CsOutcome<T>,
     ) -> T {
-        scope::enter_scope(scope, || {
-            cs::run_cs(
-                &self.ale,
-                &self.meta,
-                &SharedOps(&self.lock),
-                opts,
-                &mut body,
-            )
-        })
+        cs::bracket(
+            &self.ale,
+            &self.meta,
+            scope,
+            &SharedOps(self.raw()),
+            opts,
+            &mut body,
+        )
     }
 
     /// Execute a critical section that would acquire the lock **exclusive**.
@@ -589,9 +571,14 @@ impl<L: RawRwLock> AleRwLock<L> {
         opts: CsOptions,
         mut body: impl FnMut(&CsCtx<'_>) -> CsOutcome<T>,
     ) -> T {
-        scope::enter_scope(scope, || {
-            cs::run_cs(&self.ale, &self.meta, &ExclOps(&self.lock), opts, &mut body)
-        })
+        cs::bracket(
+            &self.ale,
+            &self.meta,
+            scope,
+            &ExclOps(self.raw()),
+            opts,
+            &mut body,
+        )
     }
 
     pub fn meta(&self) -> &Arc<LockMeta> {

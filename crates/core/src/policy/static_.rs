@@ -104,7 +104,7 @@ mod tests {
         LockMeta::new("test", Box::new(()))
     }
 
-    fn granule(meta: &LockMeta) -> std::sync::Arc<Granule> {
+    fn granule(meta: &LockMeta) -> &Granule {
         meta.granules
             .lookup(crate::scope::current_context(), || Box::new(()))
     }
@@ -117,7 +117,7 @@ mod tests {
         let mut rng = Rng::new(1);
         let full = p.plan(
             &m,
-            &g,
+            g,
             ModeCaps {
                 htm: true,
                 swopt: true,
@@ -128,7 +128,7 @@ mod tests {
         assert!(!full.measure);
         let none = p.plan(
             &m,
-            &g,
+            g,
             ModeCaps {
                 htm: false,
                 swopt: false,
@@ -146,7 +146,7 @@ mod tests {
         assert!(
             !p.plan(
                 &meta(),
-                &granule(&meta()),
+                granule(&meta()),
                 ModeCaps {
                     htm: true,
                     swopt: true
@@ -160,7 +160,7 @@ mod tests {
                 .with_grouping()
                 .plan(
                     &meta(),
-                    &granule(&meta()),
+                    granule(&meta()),
                     ModeCaps {
                         htm: true,
                         swopt: true

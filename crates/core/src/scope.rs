@@ -11,7 +11,7 @@
 //! critical section different scopes on different branches
 //! (`BEGIN_CS_NAMED`, here just passing a different `&'static ScopeId`).
 
-use std::cell::RefCell;
+use crate::thread::{self, CsThread};
 
 /// A statically-declared scope. Identity is the static's address, so two
 /// scopes are the same iff they are the same declaration.
@@ -54,20 +54,17 @@ pub struct ContextId(pub u64);
 
 impl ContextId {
     /// The empty context (no enclosing scopes).
-    pub const ROOT: ContextId = ContextId(0xcbf2_9ce4_8422_2325); // FNV offset basis
+    pub const ROOT: ContextId = ContextId(0xcbf2_9ce4_8422_2325);
 }
 
-thread_local! {
-    static CONTEXT: RefCell<ContextStack> = const { RefCell::new(ContextStack::new()) };
-}
-
-struct ContextStack {
+/// One thread's scope stack (a field of [`CsThread`]).
+pub(crate) struct ContextStack {
     /// (scope key, label, hash-of-stack-up-to-and-including-this-entry)
     entries: Vec<(usize, &'static str, u64)>,
 }
 
 impl ContextStack {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         ContextStack {
             entries: Vec::new(),
         }
@@ -81,13 +78,12 @@ impl ContextStack {
     }
 
     fn push(&mut self, key: usize, label: &'static str) {
-        // FNV-1a over the scope keys, incrementally.
-        let mut h = self.top_hash();
-        for byte in key.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.entries.push((key, label, h));
+        // Fold the scope key into the hash of the stack below it with one
+        // multiply-xorshift round. Keys are addresses of statics, so the
+        // values differ from run to run anyway; only "equal stacks hash
+        // equal, different stacks almost surely differ" matters.
+        let h = (self.top_hash() ^ key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.entries.push((key, label, h ^ (h >> 32)));
     }
 
     fn pop(&mut self, key: usize) {
@@ -100,31 +96,44 @@ impl ContextStack {
     }
 }
 
+impl CsThread {
+    /// Current context id.
+    #[inline]
+    pub(crate) fn context(&self) -> ContextId {
+        ContextId(self.scopes.borrow().top_hash())
+    }
+
+    /// Push `scope`, run `f`, pop. This is the engine under both explicit
+    /// `with_scope` and the implicit scope of every critical section.
+    pub(crate) fn enter_scope<R>(&self, scope: &'static ScopeId, f: impl FnOnce() -> R) -> R {
+        let key = scope.key();
+        self.scopes.borrow_mut().push(key, scope.label());
+        // Pop even on unwind (HTM aborts unwind through critical sections).
+        struct PopGuard<'a>(&'a CsThread, usize);
+        impl Drop for PopGuard<'_> {
+            fn drop(&mut self) {
+                self.0.scopes.borrow_mut().pop(self.1);
+            }
+        }
+        let _guard = PopGuard(self, key);
+        f()
+    }
+}
+
 /// Current context id for the calling thread.
 pub fn current_context() -> ContextId {
-    CONTEXT.with(|c| ContextId(c.borrow().top_hash()))
+    thread::with(CsThread::context)
 }
 
 /// The labels of the calling thread's scope stack, outermost first
 /// (used to describe granules in reports).
 pub fn current_context_labels() -> Vec<&'static str> {
-    CONTEXT.with(|c| c.borrow().entries.iter().map(|e| e.1).collect())
+    thread::with(|t| t.scopes.borrow().entries.iter().map(|e| e.1).collect())
 }
 
-/// Push `scope`, run `f`, pop. This is the engine under both explicit
-/// `with_scope` and the implicit scope of every critical section.
+/// [`CsThread::enter_scope`] on the calling thread's block.
 pub fn enter_scope<R>(scope: &'static ScopeId, f: impl FnOnce() -> R) -> R {
-    let key = scope.key();
-    CONTEXT.with(|c| c.borrow_mut().push(key, scope.label()));
-    // Pop even on unwind (HTM aborts unwind through critical sections).
-    struct PopGuard(usize);
-    impl Drop for PopGuard {
-        fn drop(&mut self) {
-            CONTEXT.with(|c| c.borrow_mut().pop(self.0));
-        }
-    }
-    let _guard = PopGuard(key);
-    f()
+    thread::with(|t| t.enter_scope(scope, f))
 }
 
 #[cfg(test)]

@@ -1,0 +1,72 @@
+//! The per-thread block under the critical-section driver.
+//!
+//! Everything the driver keeps per thread lives in one [`CsThread`]: the
+//! scope stack ([`crate::scope`]), the frame and held-lock stacks
+//! ([`crate::frame`]) and the master random stream. A critical section
+//! reaches the block once, in [`with`], and passes the reference down
+//! (`enter_scope → run_cs → run_protocol → with_frame`), so one section
+//! costs one thread-local lookup in this crate however many of the fields
+//! it reads.
+//!
+//! **Re-entrancy rule.** A body closure may open another critical section,
+//! which reaches the *same* block through its own [`with`]. So no borrow of
+//! a field may be live while user code runs: every method borrows, reads or
+//! writes, and releases before it returns, and the push/pop pairs around a
+//! body are two separate borrows, never one held across it.
+
+use std::cell::RefCell;
+
+use ale_vtime::Rng;
+
+use crate::frame::HeldKind;
+use crate::mode::ExecMode;
+use crate::scope::ContextStack;
+
+pub(crate) struct CsThread {
+    /// The scopes this thread is inside, outermost first.
+    pub(crate) scopes: RefCell<ContextStack>,
+    /// (lock, mode) of every enclosing critical-section attempt.
+    pub(crate) frames: RefCell<Vec<(usize, ExecMode)>>,
+    /// Locks this thread acquired in Lock mode, in acquisition order.
+    pub(crate) held: RefCell<Vec<(usize, HeldKind)>>,
+    /// Master stream the per-section streams fork from; seeded on first use.
+    rng: RefCell<Option<Rng>>,
+}
+
+thread_local! {
+    static CS_THREAD: CsThread = const {
+        CsThread {
+            scopes: RefCell::new(ContextStack::new()),
+            frames: RefCell::new(Vec::new()),
+            held: RefCell::new(Vec::new()),
+            rng: RefCell::new(None),
+        }
+    };
+}
+
+/// Run `f` with the calling thread's block.
+#[inline]
+pub(crate) fn with<R>(f: impl FnOnce(&CsThread) -> R) -> R {
+    CS_THREAD.with(f)
+}
+
+impl CsThread {
+    /// Fork a short-lived random stream for one critical-section execution
+    /// from the per-thread master stream (deterministic under simulation).
+    /// The master is seeded once per thread, from the first library
+    /// instance that runs a critical section on it.
+    pub(crate) fn fork_rng(&self, seed: u64) -> Rng {
+        self.rng
+            .borrow_mut()
+            .get_or_insert_with(|| {
+                let lane = ale_vtime::lane_id().map(|l| l as u64).unwrap_or_else(|| {
+                    use std::hash::{Hash, Hasher};
+                    let mut h = std::hash::DefaultHasher::new();
+                    std::thread::current().id().hash(&mut h);
+                    h.finish()
+                });
+                Rng::new(seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            })
+            .fork(0xC5)
+    }
+}

@@ -573,6 +573,67 @@ mod tests {
         assert_eq!(a.get(), 0, "a panic at commit entry must not publish");
     }
 
+    /// The transaction state is armed in place, so every way out of an
+    /// attempt — conflict abort, injected abort at commit, panicking body —
+    /// must leave it idle for the next attempt on the same thread.
+    #[test]
+    fn attempt_is_rearmable_after_every_way_out() {
+        use crate::txn::{in_txn, read_set_len, write_set_len};
+        let _g = serial();
+        crate::txn::init_panic_hook();
+        let (a, b) = (HtmCell::new(0u64), HtmCell::new(0u64));
+        let profile = profile();
+        let mut rng = Rng::new(1);
+        let mut next_attempt_works = |after: &str| {
+            assert!(!in_txn(), "{after}: still in a transaction");
+            assert_eq!((read_set_len(), write_set_len()), (0, 0), "{after}");
+            let r = attempt(&profile, &mut rng, || {
+                assert_eq!((read_set_len(), write_set_len()), (0, 0), "{after}");
+                let v = a.get();
+                b.set(v + 1);
+                (read_set_len(), write_set_len())
+            });
+            assert_eq!(r, Ok((1, 1)), "{after}: sets must start empty");
+            assert!(!in_txn(), "{after}");
+        };
+
+        let r = attempt(&profile, &mut Rng::new(2), || {
+            let v = a.get();
+            b.set(v);
+            a.plain_store(v + 1); // a concurrent writer lands
+            a.get()
+        });
+        assert_eq!(r.unwrap_err().code, AbortCode::Conflict);
+        next_attempt_works("conflict abort");
+
+        const TOKEN: u64 = 0xA77E;
+        let _scope = enter_scope(TOKEN);
+        install(
+            InjectPlan::new(vec![InjectRule {
+                point: InjectPoint::Commit,
+                every: 1,
+                kind: InjectKind::Conflict,
+            }])
+            .scoped(TOKEN)
+            .limited(1),
+        );
+        let r = attempt(&profile, &mut Rng::new(3), || {
+            b.set(a.get());
+        });
+        assert_eq!(clear(), 1);
+        assert_eq!(r.unwrap_err().code, AbortCode::Conflict);
+        next_attempt_works("injected abort at commit");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = attempt(&profile, &mut Rng::new(4), || {
+                b.set(a.get());
+                std::panic::panic_any(InjectedPanic);
+            });
+        }));
+        assert!(unwound.is_err());
+        next_attempt_works("panicking body");
+    }
+
     #[test]
     fn scoped_plan_only_fires_inside_matching_scope() {
         let _g = serial();

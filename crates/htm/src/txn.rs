@@ -20,7 +20,7 @@
 //! Nested [`attempt`]s are *flattened* into the enclosing transaction,
 //! which is also what the ALE library expects of HTM (§4.1 of the paper).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Once;
@@ -45,18 +45,46 @@ struct WriteEntry {
     buf: [u8; MAX_CELL_SIZE],
 }
 
+/// The calling thread's transaction, armed in place by every [`attempt`]:
+/// the set buffers keep their capacity from one attempt to the next, so a
+/// steady-state attempt neither allocates nor moves the state.
 struct TxState {
     rv: u64,
     reads: Vec<*const AtomicU64>,
     writes: Vec<WriteEntry>,
-    fm: FailureModel,
+    /// `Some` from arm to disarm.
+    fm: Option<FailureModel>,
+}
+
+impl TxState {
+    fn arm(&mut self, rv: u64, fm: FailureModel) {
+        debug_assert!(self.reads.is_empty() && self.writes.is_empty());
+        self.rv = rv;
+        self.fm = Some(fm);
+    }
+
+    /// Back to the idle state every attempt starts from, whichever way the
+    /// last one ended.
+    fn disarm(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.fm = None;
+    }
 }
 
 thread_local! {
-    static TX: RefCell<Option<TxState>> = const { RefCell::new(None) };
-    /// Recycled set buffers so repeated attempts don't allocate.
-    static SCRATCH: RefCell<(Vec<*const AtomicU64>, Vec<WriteEntry>)> =
-        RefCell::new((Vec::with_capacity(64), Vec::with_capacity(16)));
+    /// "This thread is inside a transaction". Const-initialised and
+    /// destructor-free, so the check in every `HtmCell` access outside a
+    /// transaction is one thread-relative load.
+    static IN_TXN: Cell<bool> = const { Cell::new(false) };
+    static TX: RefCell<TxState> = const {
+        RefCell::new(TxState {
+            rv: 0,
+            reads: Vec::new(),
+            writes: Vec::new(),
+            fm: None,
+        })
+    };
 }
 
 /// Unwind payload used for abort control flow. Private: user code cannot
@@ -102,17 +130,23 @@ pub fn init_panic_hook() {
 /// True while the calling thread is inside a transaction.
 #[inline]
 pub fn in_txn() -> bool {
-    TX.with(|t| t.borrow().is_some())
+    IN_TXN.with(Cell::get)
 }
 
 /// Number of entries currently in the read set (0 outside a transaction).
 pub fn read_set_len() -> usize {
-    TX.with(|t| t.borrow().as_ref().map_or(0, |tx| tx.reads.len()))
+    if !in_txn() {
+        return 0;
+    }
+    TX.with(|t| t.borrow().reads.len())
 }
 
 /// Number of entries currently in the write set (0 outside a transaction).
 pub fn write_set_len() -> usize {
-    TX.with(|t| t.borrow().as_ref().map_or(0, |tx| tx.writes.len()))
+    if !in_txn() {
+        return 0;
+    }
+    TX.with(|t| t.borrow().writes.len())
 }
 
 /// Explicitly abort the enclosing transaction with a user code
@@ -157,83 +191,63 @@ pub fn attempt<R>(
         None => {}
     }
 
-    let mut fm = FailureModel::new(profile.clone(), rng.fork(0x7854_6E67));
+    let mut fm = FailureModel::new(*profile, rng.fork(0x7854_6E67));
     if fm.txn_spurious() {
         tick(Event::HtmAbort);
         return Err(AbortStatus::spurious(fm.spurious_retry_hint()));
     }
 
-    let (reads, writes) = SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        (std::mem::take(&mut s.0), std::mem::take(&mut s.1))
-    });
-    let rv = GLOBAL_VCLOCK.load(Ordering::Acquire);
-    TX.with(|t| {
-        *t.borrow_mut() = Some(TxState {
-            rv,
-            reads,
-            writes,
-            fm,
-        });
-    });
+    TX.with(|slot| {
+        // No borrow of `slot` is held while the body runs or when an unwind
+        // leaves `attempt`, and the guard disarms on every way out — commit,
+        // abort, planned panic, user panic — so the next attempt on this
+        // thread always finds the state free and idle.
+        struct Disarm<'a>(&'a RefCell<TxState>);
+        impl Drop for Disarm<'_> {
+            fn drop(&mut self) {
+                self.0.borrow_mut().disarm();
+            }
+        }
+        slot.borrow_mut()
+            .arm(GLOBAL_VCLOCK.load(Ordering::Acquire), fm);
+        let _disarm = Disarm(slot);
+        IN_TXN.with(|f| f.set(true));
+        let outcome = catch_unwind(AssertUnwindSafe(body));
+        IN_TXN.with(|f| f.set(false));
 
-    let outcome = catch_unwind(AssertUnwindSafe(body));
-    let st = TX
-        .with(|t| t.borrow_mut().take())
-        .expect("transaction state vanished");
-
-    let result = match outcome {
-        Ok(value) => {
-            let committed = match crate::inject::check(crate::inject::InjectPoint::Commit) {
-                Some(crate::inject::Injected::Abort(status)) => Err(status),
-                Some(crate::inject::Injected::Panic) => {
-                    // Planned panic at commit entry: the transaction dies
-                    // with its buffered writes and the unwind reaches the
-                    // driver, exactly like a body panic would.
-                    tick(Event::HtmAbort);
-                    recycle(st);
-                    do_injected_panic();
+        match outcome {
+            Ok(value) => {
+                let committed = match crate::inject::check(crate::inject::InjectPoint::Commit) {
+                    Some(crate::inject::Injected::Abort(status)) => Err(status),
+                    Some(crate::inject::Injected::Panic) => {
+                        // Planned panic at commit entry: the transaction dies
+                        // with its buffered writes and the unwind reaches the
+                        // driver, exactly like a body panic would.
+                        tick(Event::HtmAbort);
+                        do_injected_panic();
+                    }
+                    None => commit(&slot.borrow()),
+                };
+                match committed {
+                    Ok(()) => {
+                        tick(Event::HtmCommit);
+                        Ok(value)
+                    }
+                    Err(status) => {
+                        tick(Event::HtmAbort);
+                        Err(status)
+                    }
                 }
-                None => commit(&st),
-            };
-            match committed {
-                Ok(()) => {
-                    tick(Event::HtmCommit);
-                    Ok(value)
-                }
-                Err(status) => {
-                    tick(Event::HtmAbort);
-                    Err(status)
+            }
+            Err(payload) => {
+                tick(Event::HtmAbort);
+                match payload.downcast::<TxAbortUnwind>() {
+                    Ok(ab) => Err(ab.0),
+                    Err(other) => resume_unwind(other),
                 }
             }
         }
-        Err(payload) => {
-            tick(Event::HtmAbort);
-            match payload.downcast::<TxAbortUnwind>() {
-                Ok(ab) => Err(ab.0),
-                Err(other) => {
-                    recycle(st);
-                    resume_unwind(other)
-                }
-            }
-        }
-    };
-    recycle(st);
-    result
-}
-
-fn recycle(mut st: TxState) {
-    st.reads.clear();
-    st.writes.clear();
-    SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        if s.0.capacity() < st.reads.capacity() {
-            s.0 = st.reads;
-        }
-        if s.1.capacity() < st.writes.capacity() {
-            s.1 = st.writes;
-        }
-    });
+    })
 }
 
 /// Transactional read of `cell` (called from `HtmCell::get`).
@@ -246,7 +260,8 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
     }
     TX.with(|slot| {
         let mut borrow = slot.borrow_mut();
-        let tx = borrow.as_mut().expect("tx_read outside transaction");
+        let tx = &mut *borrow;
+        let fm = tx.fm.as_mut().expect("no transaction is running");
 
         // Read-after-write: return the buffered value.
         let vp = cell.value_ptr() as *mut u8;
@@ -255,8 +270,8 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
             return unsafe { std::ptr::read_unaligned(w.buf.as_ptr() as *const T) };
         }
 
-        if tx.fm.access_spurious() {
-            let hint = tx.fm.spurious_retry_hint();
+        if fm.access_spurious() {
+            let hint = fm.spurious_retry_hint();
             do_abort(AbortStatus::spurious(hint));
         }
 
@@ -277,7 +292,7 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
         let start = tx.reads.len().saturating_sub(READ_DEDUP_WINDOW);
         if !tx.reads[start..].contains(&mp) {
             tx.reads.push(mp);
-            if tx.fm.read_capacity_exceeded(tx.reads.len()) {
+            if fm.read_capacity_exceeded(tx.reads.len()) {
                 do_abort(AbortStatus::capacity());
             }
         }
@@ -295,10 +310,11 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
     }
     TX.with(|slot| {
         let mut borrow = slot.borrow_mut();
-        let tx = borrow.as_mut().expect("tx_write outside transaction");
+        let tx = &mut *borrow;
+        let fm = tx.fm.as_mut().expect("no transaction is running");
 
-        if tx.fm.access_spurious() {
-            let hint = tx.fm.spurious_retry_hint();
+        if fm.access_spurious() {
+            let hint = fm.spurious_retry_hint();
             do_abort(AbortStatus::spurious(hint));
         }
 
@@ -330,7 +346,7 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
             size,
             buf,
         });
-        if tx.fm.write_capacity_exceeded(tx.writes.len()) {
+        if fm.write_capacity_exceeded(tx.writes.len()) {
             do_abort(AbortStatus::capacity());
         }
     });
@@ -605,7 +621,6 @@ mod tests {
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let counter = &counter;
-                let p = p.clone();
                 s.spawn(move || {
                     let mut r = Rng::new(1000 + t);
                     for _ in 0..2000 {
@@ -634,7 +649,6 @@ mod tests {
         std::thread::scope(|s| {
             for t in 0..8usize {
                 let cells = &cells;
-                let p = p.clone();
                 s.spawn(move || {
                     let mut r = Rng::new(t as u64);
                     for _ in 0..1000 {
@@ -665,7 +679,6 @@ mod tests {
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let (a, b) = (&a, &b);
-                let p = p.clone();
                 s.spawn(move || {
                     let mut r = Rng::new(t);
                     for i in 0..2000u64 {

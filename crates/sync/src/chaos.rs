@@ -42,9 +42,19 @@ mod tests {
     use super::*;
     use crate::seqlock::SeqVersion;
     use ale_vtime::{Platform, Sim};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The setting is process-global: a test that stores 0 while another
+    /// test's `Sim` is running under a non-zero value un-stretches it.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
     fn delay_stretches_conflicting_regions_in_virtual_time() {
+        let _g = serial();
         let span = |delay| {
             set_publication_delay(delay);
             let r = Sim::new(Platform::testbed(), 1).run(|_| {
@@ -67,6 +77,7 @@ mod tests {
 
     #[test]
     fn zero_delay_is_free() {
+        let _g = serial();
         set_publication_delay(0);
         assert_eq!(publication_delay(), 0);
         stall(); // no lane installed: must not panic or tick

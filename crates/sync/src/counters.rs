@@ -46,9 +46,10 @@ thread_local! {
 /// a thread-local counter, keyed by the counter's own address so concurrent
 /// flushers do not round in lockstep. Deliberately not the lane's [`Rng`]:
 /// `add` has no `rng` parameter, and its draws must not perturb simulated
-/// streams.
+/// streams. Public so a flush of several counters can take one draw and
+/// hand each [`StatCounter::add_drawn`] its own rotation of it.
 #[inline]
-fn fold_draw() -> u64 {
+pub fn fold_draw() -> u64 {
     FOLD_STATE.with(|s| {
         let x = s.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
         s.set(x);
@@ -141,18 +142,31 @@ impl StatCounter {
     /// [`inc`]: StatCounter::inc
     #[inline]
     pub fn add(&self, n: u64) {
+        self.fold(n, None);
+    }
+
+    /// [`add`](StatCounter::add) with the rounding bits supplied by the
+    /// caller, so one [`fold_draw`] can serve a whole batch of counters.
+    /// `draw` must be uniform over `u64`; distinct rotations of one draw
+    /// are each uniform, which is all the per-counter estimate needs.
+    #[inline]
+    pub fn add_drawn(&self, n: u64, draw: u64) {
+        self.fold(n, Some(draw));
+    }
+
+    #[inline]
+    fn fold(&self, n: u64, mut draw: Option<u64>) {
         if n == 0 {
             return;
         }
         let mut backoff = Backoff::with_max_exp(6);
-        let mut draw = None;
         loop {
             let w = self.word.load(Ordering::Relaxed);
             let (m, e) = unpack(w);
             let units = if e == 0 {
                 n
             } else {
-                // One draw per call, reused if the CAS has to retry.
+                // At most one draw per call, reused if the CAS has to retry.
                 let r = *draw.get_or_insert_with(fold_draw);
                 let mask = (1u64 << e) - 1;
                 (n >> e) + u64::from((r & mask) < (n & mask))

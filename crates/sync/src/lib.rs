@@ -44,7 +44,7 @@ pub mod watchdog;
 
 pub use backoff::Backoff;
 pub use clh::ClhLock;
-pub use counters::StatCounter;
+pub use counters::{fold_draw, StatCounter};
 pub use mutex::{TickMutex, TickMutexGuard};
 pub use padded::CachePadded;
 pub use raw_lock::{RawLock, RawRwLock};

@@ -61,9 +61,19 @@ mod tests {
     use super::*;
     use crate::seqlock::SeqBuffer;
     use ale_vtime::{Platform, Sim};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The setting is process-global: a test that stores 0 while another
+    /// test's `Sim` is running under a non-zero value un-stretches it.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     #[test]
     fn window_stretches_publication_in_virtual_time() {
+        let _g = serial();
         let span = |w| {
             set_window(w);
             let r = Sim::new(Platform::testbed(), 1).run(|_| {
@@ -85,6 +95,7 @@ mod tests {
 
     #[test]
     fn zero_window_is_free() {
+        let _g = serial();
         set_window(0);
         assert_eq!(window(), 0);
         publish_fence(); // no lane installed: must not panic or tick

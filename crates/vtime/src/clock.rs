@@ -12,7 +12,7 @@
 //! parked lane keeps advancing its own clock and the scheduler eventually
 //! runs the holder.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -50,6 +50,10 @@ pub enum Event {
 }
 
 thread_local! {
+    /// True exactly while `CURRENT_LANE` holds a lane. Const-initialised and
+    /// destructor-free, so outside a simulation every entry point below
+    /// costs one thread-relative load and one branch.
+    static LANE_INSTALLED: Cell<bool> = const { Cell::new(false) };
     static CURRENT_LANE: RefCell<Option<Rc<LaneCtx>>> = const { RefCell::new(None) };
 }
 
@@ -63,13 +67,19 @@ fn real_now_ns() -> u64 {
 
 pub(crate) fn install_lane(ctx: Rc<LaneCtx>) {
     CURRENT_LANE.with(|c| *c.borrow_mut() = Some(ctx));
+    LANE_INSTALLED.with(|f| f.set(true));
 }
 
 pub(crate) fn clear_lane() {
+    LANE_INSTALLED.with(|f| f.set(false));
     CURRENT_LANE.with(|c| *c.borrow_mut() = None);
 }
 
-pub(crate) fn with_lane<R>(f: impl FnOnce(Option<&Rc<LaneCtx>>) -> R) -> R {
+#[inline]
+fn with_lane<R>(f: impl FnOnce(Option<&Rc<LaneCtx>>) -> R) -> R {
+    if !LANE_INSTALLED.with(Cell::get) {
+        return f(None);
+    }
     CURRENT_LANE.with(|c| f(c.borrow().as_ref()))
 }
 

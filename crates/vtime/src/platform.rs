@@ -86,7 +86,7 @@ impl SaturatingShl for u64 {
 }
 
 /// Best-effort HTM characteristics of a platform.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HtmProfile {
     /// Maximum distinct cells a transaction may read before a capacity abort.
     pub max_read_set: usize,

@@ -1,24 +1,28 @@
-//! The three table structures on concurrent OS threads.
+//! The three table structures and the write-ahead log on concurrent OS
+//! threads.
 //!
-//! Everything else that drives `AleHashMap`, `AleShardedMap` and
-//! `AleCacheDb` full-stack runs under the simulator, which hands lanes the
-//! CPU one at a time. These tests run the same operations on two real
+//! Everything else that drives `AleHashMap`, `AleShardedMap`, `AleCacheDb`
+//! and `DurableCacheDb` full-stack runs under the simulator, which hands
+//! lanes the CPU one at a time. These tests run the same operations on two real
 //! threads released by a barrier and check the wall-clock benchmark's
 //! oracles: every `get` hit returns the key's canonical value, prefill plus
 //! the workers' tallies equals the enumerated size, every version is even
-//! at quiescence, and no lock is left held or poisoned.
+//! at quiescence, and no lock is left held or poisoned. The durable test
+//! adds the log's oracle: recovery from the log alone is gapless,
+//! untruncated and equal to the live database on every key.
 
 use std::sync::{Arc, Barrier};
 
 use ale_repro::core::{Ale, AleConfig, StaticPolicy};
 use ale_repro::hashmap::{AleHashMap, AleShardedMap, MapConfig, ShardedMapConfig};
-use ale_repro::kyoto::{AleCacheDb, DbConfig, KyotoDb, SLOT_NUM};
+use ale_repro::kyoto::{recover, AleCacheDb, DbConfig, DurableCacheDb, KyotoDb, Wal, SLOT_NUM};
 use ale_repro::sync::RawLock;
 use ale_repro::vtime::{Platform, Rng};
 
 const THREADS: u64 = 2;
 const KEYS: u64 = 512;
 const OPS_PER_THREAD: usize = 50_000;
+const DURABLE_OPS_PER_THREAD: usize = 20_000;
 
 fn canonical(key: u64) -> u64 {
     key.wrapping_mul(31) + 7
@@ -42,6 +46,7 @@ fn prefill(insert: impl Fn(u64, u64) -> bool) -> i64 {
 /// `≡ t (mod THREADS)` — so its tally of keys created and removed is exact
 /// — and reads every key. Returns the net number of keys created.
 fn hammer(
+    ops_per_thread: usize,
     get: impl Fn(u64) -> Option<u64> + Sync,
     insert: impl Fn(u64, u64) -> bool + Sync,
     remove: impl Fn(u64) -> bool + Sync,
@@ -55,7 +60,7 @@ fn hammer(
                     let mut rng = Rng::new(0xA1E0 + t);
                     let mut net = 0i64;
                     barrier.wait();
-                    for _ in 0..OPS_PER_THREAD {
+                    for _ in 0..ops_per_thread {
                         let key = rng.gen_range(KEYS);
                         let own = key - key % THREADS + t;
                         match rng.gen_range(10) {
@@ -86,6 +91,7 @@ fn hashmap_on_two_os_threads() {
     let map: AleHashMap<u64> = AleHashMap::new(&ale, MapConfig::new(64).with_version_stripes(4));
     let before = prefill(|k, val| map.insert(k, val));
     let net = hammer(
+        OPS_PER_THREAD,
         |k| {
             let mut v = 0;
             map.get(k, &mut v).then_some(v)
@@ -113,6 +119,7 @@ fn sharded_map_on_two_os_threads() {
             .with_migrate_steps_per_op(1),
     );
     let net = hammer(
+        OPS_PER_THREAD,
         |k| {
             let mut v = 0;
             map.get(k, &mut v).then_some(v)
@@ -143,11 +150,52 @@ fn cachedb_on_two_os_threads() {
         },
     );
     let before = prefill(|k, val| db.set(k, val));
-    let net = hammer(|k| db.get(k), |k, val| db.set(k, val), |k| db.remove(k));
+    let net = hammer(
+        OPS_PER_THREAD,
+        |k| db.get(k),
+        |k, val| db.set(k, val),
+        |k| db.remove(k),
+    );
     // `count` takes the RW lock exclusively and every slot lock in turn: it
     // returning at all shows none was left held.
     assert_eq!(db.count() as i64, before + net);
     assert!(db.versions_even());
     assert!(!db.external_meta().is_poisoned());
     assert!((0..SLOT_NUM).all(|s| !db.slot_meta(s).is_poisoned()));
+}
+
+/// The WAL under real concurrency. Each thread mutates only its own keys
+/// (as everywhere in this file), which also keeps the test clear of a known
+/// gap it must not paper over: `DurableCacheDb` appends and commits
+/// non-atomically, so two threads mutating *one* key can log in one order
+/// and commit in the other (CHANGES.md PR 11).
+#[test]
+fn durable_on_two_os_threads() {
+    let ale = ale();
+    let config = DbConfig {
+        buckets_per_slot: 4,
+        capacity_per_slot: 1 << 12,
+        payload_cells: 0,
+    };
+    let db = DurableCacheDb::new(&ale, config.clone(), Arc::new(Wal::new()));
+    let before = prefill(|k, val| db.set(k, val));
+    let net = hammer(
+        DURABLE_OPS_PER_THREAD,
+        |k| db.get(k),
+        |k, val| db.set(k, val),
+        |k| db.remove(k),
+    );
+    assert_eq!(db.count() as i64, before + net);
+    assert!(db.versions_even());
+
+    let (recovered, report) = recover(&ale, config, Arc::clone(db.wal()));
+    assert!(
+        report.gapless && report.truncated == 0,
+        "a crash-free log must recover cleanly: {report:?}"
+    );
+    assert!(recovered.versions_even());
+    assert_eq!(recovered.count(), db.count());
+    for k in 0..KEYS {
+        assert_eq!(recovered.get(k), db.get(k), "key {k}: recovered != live");
+    }
 }
