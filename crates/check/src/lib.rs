@@ -21,9 +21,10 @@
 //!    fault budget) and written as a replay file that
 //!    `ale-check --replay FILE` reproduces exactly.
 //!
-//! The harness proves itself with compile-time-gated mutations (see the
-//! `mut-*` features): each classic elision bug must be caught within a
-//! bounded schedule budget by `ale-check selftest`.
+//! The harness proves itself against [`MUTATIONS`]: built with the
+//! `selftest-mutations` feature, `ale-check selftest` re-introduces each
+//! classic elision bug in turn, in one process, and each must be caught by
+//! its own oracle within a bounded schedule budget.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,9 +35,11 @@ use ale_htm::{CrashPlan, CrashPoint, InjectKind, InjectPlan, InjectPoint, Inject
 use ale_vtime::{PlatformKind, SchedStrategy};
 
 pub mod minimize;
+pub mod mutations;
 pub mod replay;
 pub mod workloads;
 
+pub use mutations::{Lane, MUTATIONS};
 pub use workloads::Workload;
 
 /// Which scheduler drives a run (a CLI/replay-friendly mirror of
@@ -234,6 +237,21 @@ impl Default for CheckConfig {
             trace: false,
             crash: None,
             torn: None,
+        }
+    }
+}
+
+impl CheckConfig {
+    /// Config for one schedule of a sweep: workload seed and scheduler seed
+    /// both derived from `seed`, so every iteration is a distinct,
+    /// individually replayable schedule.
+    pub fn for_schedule(&self, workload: Workload, strategy: StrategyKind, seed: u64) -> Self {
+        CheckConfig {
+            workload,
+            strategy,
+            seed,
+            sched_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED_5EED,
+            ..self.clone()
         }
     }
 }
@@ -447,7 +465,7 @@ pub fn run_once(cfg: &CheckConfig) -> RunOutcome {
                 // per-event under the simulator, via the batched exit
                 // flush otherwise — so while the counters are still in the
                 // BFP exact regime the totals must agree. A flush that
-                // drops its delta (the `mut-stat-batch-lost` mutation)
+                // drops its delta (the `StatBatchLost` mutation)
                 // shows up here.
                 let completed = completes.load(Ordering::Relaxed);
                 if exact && executions != completed {
@@ -461,7 +479,7 @@ pub fn run_once(cfg: &CheckConfig) -> RunOutcome {
                 // The trace oracle: every completed critical section emits
                 // exactly one mode-decision event, so at full sampling with
                 // no ring drops the two counts must agree. A skipped or
-                // duplicated emit (the `mut-trace-drop-event` mutation)
+                // duplicated emit (the `TraceDropEvent` mutation)
                 // shows up here.
                 let traced = t
                     .events
@@ -505,63 +523,6 @@ pub fn run_once(cfg: &CheckConfig) -> RunOutcome {
     }
 }
 
-/// The mutation compiled into this binary, if any (selftest mode).
-pub fn active_mutation() -> Option<&'static str> {
-    if cfg!(feature = "mut-lazy-subscription") {
-        Some("mut-lazy-subscription")
-    } else if cfg!(feature = "mut-skip-version-bump") {
-        Some("mut-skip-version-bump")
-    } else if cfg!(feature = "mut-skip-validate") {
-        Some("mut-skip-validate")
-    } else if cfg!(feature = "mut-snzi-skip-half") {
-        Some("mut-snzi-skip-half")
-    } else if cfg!(feature = "mut-leak-region-on-panic") {
-        Some("mut-leak-region-on-panic")
-    } else if cfg!(feature = "mut-trace-drop-event") {
-        Some("mut-trace-drop-event")
-    } else if cfg!(feature = "mut-ttl-stale-read") {
-        Some("mut-ttl-stale-read")
-    } else if cfg!(feature = "mut-reorder-publish") {
-        Some("mut-reorder-publish")
-    } else if cfg!(feature = "mut-wal-ack-before-durable") {
-        Some("mut-wal-ack-before-durable")
-    } else if cfg!(feature = "mut-recovery-skip-checksum") {
-        Some("mut-recovery-skip-checksum")
-    } else if cfg!(feature = "mut-resize-skip-republish") {
-        Some("mut-resize-skip-republish")
-    } else if cfg!(feature = "mut-shard-route-stale") {
-        Some("mut-shard-route-stale")
-    } else if cfg!(feature = "mut-stat-batch-lost") {
-        Some("mut-stat-batch-lost")
-    } else {
-        None
-    }
-}
-
-/// The workload that detects a given mutation (selftest targeting).
-pub fn workload_for_mutation(mutation: &str) -> Workload {
-    match mutation {
-        "mut-lazy-subscription" => Workload::Bank,
-        "mut-snzi-skip-half" => Workload::Snzi,
-        "mut-leak-region-on-panic" => Workload::Panic,
-        // SWOpt-heavy, so a dropped SWOpt mode-decision emit is common.
-        "mut-trace-drop-event" => Workload::HashMap,
-        // The expired-entry freshness oracle lives in the TTL cache.
-        "mut-ttl-stale-read" => Workload::Ttl,
-        // Torn epoch blocks surface in the registry's SeqBuffer loads.
-        "mut-reorder-publish" => Workload::Registry,
-        // Both durability mutations need the WAL + crash-point oracles.
-        "mut-wal-ack-before-durable" | "mut-recovery-skip-checksum" => Workload::Durable,
-        // Both resize mutations only bite while a shard migration is live.
-        "mut-resize-skip-republish" | "mut-shard-route-stale" => Workload::Shard,
-        // A dropped executions flush under-reports against the completion
-        // count on any CS-heavy workload; the hashmap samples stat parity.
-        "mut-stat-batch-lost" => Workload::HashMap,
-        // Both hashmap mutations break SWOpt-reader integrity.
-        _ => Workload::HashMap,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,13 +561,11 @@ mod tests {
             "same config must replay bit-identically"
         );
         assert_eq!(a.violations, b.violations);
-        if active_mutation().is_none() {
-            assert!(
-                !a.failed(),
-                "clean build must pass the oracles: {:?}",
-                a.violations
-            );
-        }
+        assert!(
+            !a.failed(),
+            "with no mutation active the oracles must pass: {:?}",
+            a.violations
+        );
     }
 
     #[test]

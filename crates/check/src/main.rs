@@ -16,18 +16,18 @@
 //! exit code is 1. A clean sweep prints a deterministic digest — re-running
 //! the same command line must print the same digest, bit for bit.
 //!
-//! `selftest` proves the harness catches bugs: built with one `mut-*`
-//! feature it must find a violation within the seed budget (exit 0 on
-//! detection, 1 on escape); built clean it must find none.
+//! `selftest` proves the harness catches bugs: built with
+//! `--features selftest-mutations` it re-introduces every bug of
+//! `ale_check::MUTATIONS` in turn and each must trip its own oracle within
+//! the seed budget (exit 1 if any escapes); built without, it must find
+//! nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ale_check::{
-    active_mutation, minimize, replay, run_once, workload_for_mutation, CheckConfig, CrashSpec,
-    Fnv, StrategyKind, Workload,
-};
-use ale_htm::{CrashPoint, TornMode};
+#[cfg(feature = "selftest-mutations")]
+use ale_check::MUTATIONS;
+use ale_check::{minimize, replay, run_once, CheckConfig, Fnv, Lane, StrategyKind, Workload};
 use ale_vtime::PlatformKind;
 
 struct Args {
@@ -184,26 +184,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Config for iteration `i` of the sweep: workload seed and scheduler seed
-/// both derived from the iteration index so every iteration is a distinct,
-/// individually replayable schedule.
-fn sweep_config(
-    base: &CheckConfig,
-    workload: Workload,
-    strategy: StrategyKind,
-    seed: u64,
-) -> CheckConfig {
-    CheckConfig {
-        workload,
-        strategy,
-        seed,
-        sched_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED_5EED,
-        ..base.clone()
-    }
-}
-
 /// Shrink a failing config, write the replay file, print the repro recipe.
-fn report_failure(cfg: &CheckConfig, outcome: &ale_check::RunOutcome, out_dir: &Path) -> PathBuf {
+/// For a self-test `lane` the shrink keeps the lane's own oracle firing,
+/// and the file is named after the lane and records it.
+fn report_failure(
+    cfg: &CheckConfig,
+    outcome: &ale_check::RunOutcome,
+    out_dir: &Path,
+    lane: Option<&Lane>,
+) -> PathBuf {
     eprintln!(
         "FAIL {} strategy={} seed={}: {} violation(s)",
         cfg.workload.name(),
@@ -214,7 +203,8 @@ fn report_failure(cfg: &CheckConfig, outcome: &ale_check::RunOutcome, out_dir: &
     for v in &outcome.violations {
         eprintln!("  - {v}");
     }
-    let (final_cfg, note) = match minimize::minimize(cfg, outcome) {
+    let still_fails = |o: &ale_check::RunOutcome| lane.map_or(o.failed(), |l| l.detected_by(o));
+    let (final_cfg, note) = match minimize::minimize(cfg, outcome, still_fails) {
         Some(min) => {
             eprintln!(
                 "minimised in {} runs: perturb_limit {} -> {}{}{}{}",
@@ -248,16 +238,29 @@ fn report_failure(cfg: &CheckConfig, outcome: &ale_check::RunOutcome, out_dir: &
     };
     std::fs::create_dir_all(out_dir).ok();
     let path = out_dir.join(format!(
-        "fail-{}-{}-seed{}.replay",
+        "{}-{}-{}-seed{}.replay",
+        lane.map_or("fail", |l| l.name),
         final_cfg.workload.name(),
         final_cfg.strategy.name(),
         final_cfg.seed
     ));
-    match std::fs::write(&path, replay::write(&final_cfg)) {
+    let mut text = replay::write(&final_cfg);
+    if let Some(lane) = lane {
+        text.push_str(&format!(
+            "# self-test lane: fails only in a --features selftest-mutations build\nmutation={}\n",
+            lane.name
+        ));
+    }
+    match std::fs::write(&path, text) {
         Ok(()) => eprintln!(
-            "{} replay written: {}\nreproduce with: cargo run -p ale-check -- --replay {}",
+            "{} replay written: {}\nreproduce with: cargo run -p ale-check {}-- --replay {}",
             note,
             path.display(),
+            if lane.is_some() {
+                "--features selftest-mutations "
+            } else {
+                ""
+            },
             path.display()
         ),
         Err(e) => eprintln!("could not write replay file {}: {e}", path.display()),
@@ -280,6 +283,18 @@ fn run_replay(path: &Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A self-test lane's schedule only fails with the lane's bug switched on.
+    #[cfg(feature = "selftest-mutations")]
+    let _active = replay::lane(&text).map(Lane::activate);
+    #[cfg(not(feature = "selftest-mutations"))]
+    if let Some(lane) = replay::lane(&text) {
+        eprintln!(
+            "{} replays the `{}` self-test lane: rebuild with --features selftest-mutations",
+            path.display(),
+            lane.name
+        );
+        return ExitCode::from(2);
+    }
     let outcome = run_once(&cfg);
     println!(
         "replay {} strategy={} seed={} sched_seed={}: digest {:016x}, {} decision(s), {} injected fault(s)",
@@ -331,12 +346,12 @@ fn run_sweep(args: &Args) -> ExitCode {
     for seed in args.seed_base..args.seed_base + args.seeds {
         for &workload in &args.workloads {
             for &strategy in &args.strategies {
-                let cfg = sweep_config(&args.base, workload, strategy, seed);
+                let cfg = args.base.for_schedule(workload, strategy, seed);
                 let outcome = run_once(&cfg);
                 runs += 1;
                 digest.write_u64(outcome.digest);
                 if outcome.failed() {
-                    report_failure(&cfg, &outcome, &args.out_dir);
+                    report_failure(&cfg, &outcome, &args.out_dir, None);
                     return ExitCode::from(1);
                 }
             }
@@ -352,80 +367,64 @@ fn run_sweep(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Without the self-test feature there is no mutation to hunt: a modest
+/// sweep must stay clean.
+#[cfg(not(feature = "selftest-mutations"))]
 fn run_selftest(args: &Args) -> ExitCode {
-    match active_mutation() {
-        None => {
-            // Clean build: a modest sweep must stay clean.
-            eprintln!("selftest (no mutation compiled in): expecting a clean sweep");
-            let clean = Args {
-                selftest: false,
-                replay_file: None,
-                seeds: args.seeds.min(25),
-                seed_base: args.seed_base,
-                strategies: vec![StrategyKind::RandomWalk, StrategyKind::MostConflicting],
-                workloads: Workload::ALL.to_vec(),
-                out_dir: args.out_dir.clone(),
-                base: args.base.clone(),
-            };
-            run_sweep(&clean)
-        }
-        Some(mutation) => {
-            let workload = workload_for_mutation(mutation);
-            let mut base = args.base.clone();
-            // The trace-drop mutation is invisible to the workload oracles;
-            // only the trace-stream oracle can catch it.
-            if mutation == "mut-trace-drop-event" {
-                base.trace = true;
-            }
-            // The reordered publication only tears observably when the
-            // weak-memory adversary holds stores in the window; arm it.
-            if mutation == "mut-reorder-publish" && base.reorder_ns == 0 {
-                base.reorder_ns = 400;
-            }
-            // The ack-before-durable record is only lost when a crash
-            // lands while it sits parked in the volatile buffer; arm a
-            // mid-run crash at a WAL append.
-            if mutation == "mut-wal-ack-before-durable" && base.crash.is_none() {
-                base.crash = Some(CrashSpec {
-                    point: CrashPoint::WalAppend,
-                    after: 40,
-                });
-            }
-            // The skipped checksum only misleads recovery when the crash
-            // leaves a bit-flipped (complete but corrupt) tail record.
-            if mutation == "mut-recovery-skip-checksum" && base.crash.is_none() {
-                base.crash = Some(CrashSpec {
-                    point: CrashPoint::MidRecord,
-                    after: 30,
-                });
-                base.torn = Some(TornMode::Flip);
-            }
+    eprintln!("selftest (built without selftest-mutations): expecting a clean sweep");
+    let clean = Args {
+        selftest: false,
+        replay_file: None,
+        seeds: args.seeds.min(25),
+        seed_base: args.seed_base,
+        strategies: vec![StrategyKind::RandomWalk, StrategyKind::MostConflicting],
+        workloads: Workload::ALL.to_vec(),
+        out_dir: args.out_dir.clone(),
+        base: args.base.clone(),
+    };
+    run_sweep(&clean)
+}
+
+/// Walk [`MUTATIONS`] in this one process: switch each bug on, hunt it,
+/// require its own oracle to fire within the seed budget, minimise and
+/// write the replay, switch it off again. Exit 1 if any lane escapes.
+#[cfg(feature = "selftest-mutations")]
+fn run_selftest(args: &Args) -> ExitCode {
+    let mut escaped = Vec::new();
+    for lane in &MUTATIONS {
+        eprintln!(
+            "selftest: hunting `{}` on the {} workload (budget {} seeds x {} strategies)",
+            lane.name,
+            lane.workload.name(),
+            args.seeds,
+            StrategyKind::ALL.len()
+        );
+        let _active = lane.activate();
+        let hunt = lane.hunt(&args.base, args.seed_base..args.seed_base + args.seeds);
+        let Some((cfg, outcome)) = &hunt.found else {
             eprintln!(
-                "selftest: hunting `{mutation}` on the {} workload (budget {} seeds x {} strategies)",
-                workload.name(),
-                args.seeds,
-                StrategyKind::ALL.len()
+                "selftest FAILED: `{}` escaped {} schedule(s): no `{}` violation ({})",
+                lane.name,
+                hunt.schedules,
+                lane.oracle,
+                hunt.stray
+                    .map_or("nothing fired at all".into(), |v| format!("only: {v}"))
             );
-            let mut schedules = 0u64;
-            for seed in args.seed_base..args.seed_base + args.seeds {
-                // All strategies take part — a detector that only works
-                // under one scheduler is too fragile to trust.
-                for strategy in StrategyKind::ALL {
-                    let cfg = sweep_config(&base, workload, strategy, seed);
-                    let outcome = run_once(&cfg);
-                    schedules += 1;
-                    if outcome.failed() {
-                        eprintln!("selftest: `{mutation}` detected after {schedules} schedule(s)");
-                        report_failure(&cfg, &outcome, &args.out_dir);
-                        return ExitCode::SUCCESS;
-                    }
-                }
-            }
-            eprintln!(
-                "selftest FAILED: `{mutation}` escaped {schedules} schedule(s) — the oracles are too weak"
-            );
-            ExitCode::from(1)
-        }
+            escaped.push(lane.name);
+            continue;
+        };
+        eprintln!(
+            "selftest: `{}` detected by `{}` after {} schedule(s)",
+            lane.name, lane.oracle, hunt.schedules
+        );
+        report_failure(cfg, outcome, &args.out_dir, Some(lane));
+    }
+    if escaped.is_empty() {
+        eprintln!("selftest: all {} mutations detected", MUTATIONS.len());
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("selftest FAILED: escaped: {}", escaped.join(" "));
+        ExitCode::from(1)
     }
 }
 

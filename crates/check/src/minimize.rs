@@ -45,7 +45,15 @@ fn bisect(mut lo: u64, mut hi: u64, mut fails: impl FnMut(u64) -> bool) -> (u64,
 ///
 /// Returns `None` if even re-running the original config no longer fails —
 /// which would mean the run was not deterministic and is itself a bug.
-pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
+///
+/// `fails` decides what counts as "still failing" — any violation
+/// ([`RunOutcome::failed`]) for a sweep, one particular oracle for a
+/// self-test lane.
+pub fn minimize(
+    cfg: &CheckConfig,
+    witness: &RunOutcome,
+    fails: impl Fn(&RunOutcome) -> bool,
+) -> Option<Minimized> {
     let mut runs = 0u64;
     let mut cfg = cfg.clone();
 
@@ -60,17 +68,16 @@ pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
         }
     }
     runs += 1;
-    if !run_once(&cfg).failed() {
+    if !fails(&run_once(&cfg)) {
         return None;
     }
 
     // Shrink the perturbation prefix.
     let (limit, n) = bisect(0, cfg.perturb_limit, |limit| {
-        run_once(&CheckConfig {
+        fails(&run_once(&CheckConfig {
             perturb_limit: limit,
             ..cfg.clone()
-        })
-        .failed()
+        }))
     });
     runs += n;
     cfg.perturb_limit = limit;
@@ -79,11 +86,10 @@ pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
     // and narrower delayed-visibility gaps in the replayed schedule).
     if cfg.reorder_ns > 0 {
         let (window, n) = bisect(0, cfg.reorder_ns, |reorder_ns| {
-            run_once(&CheckConfig {
+            fails(&run_once(&CheckConfig {
                 reorder_ns,
                 ..cfg.clone()
-            })
-            .failed()
+            }))
         });
         runs += n;
         cfg.reorder_ns = window;
@@ -94,11 +100,10 @@ pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
     // one less ingredient in the repro.
     if cfg.workload == crate::Workload::Shard && cfg.zipf_milli > 0 {
         let (zipf, n) = bisect(0, cfg.zipf_milli, |zipf_milli| {
-            run_once(&CheckConfig {
+            fails(&run_once(&CheckConfig {
                 zipf_milli,
                 ..cfg.clone()
-            })
-            .failed()
+            }))
         });
         runs += n;
         cfg.zipf_milli = zipf;
@@ -111,7 +116,7 @@ pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
         let (after, n) = bisect(1, crash.after, |after| {
             let mut candidate = cfg.clone();
             candidate.crash = Some(crate::CrashSpec { after, ..crash });
-            run_once(&candidate).failed()
+            fails(&run_once(&candidate))
         });
         runs += n;
         cfg.crash = Some(crate::CrashSpec { after, ..crash });
@@ -122,7 +127,7 @@ pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
         let (hits, n) = bisect(0, fault.max_hits, |max_hits| {
             let mut candidate = cfg.clone();
             candidate.fault = Some(crate::FaultSpec { max_hits, ..fault });
-            run_once(&candidate).failed()
+            fails(&run_once(&candidate))
         });
         runs += n;
         cfg.fault = Some(crate::FaultSpec {
@@ -134,7 +139,7 @@ pub fn minimize(cfg: &CheckConfig, witness: &RunOutcome) -> Option<Minimized> {
     // Final verification run: the reported config must fail as-is.
     runs += 1;
     let outcome = run_once(&cfg);
-    if !outcome.failed() {
+    if !fails(&outcome) {
         return None;
     }
     Some(Minimized {

@@ -6,11 +6,15 @@
 //! minimiser re-runs the exact minimised schedule — same seeds, same
 //! strategy parameters, same fault plan — and produces the same violations
 //! bit for bit.
+//!
+//! A replay written by a `selftest` lane also carries `mutation=<lane>`
+//! ([`lane`]): its schedule fails only with that lane's bug switched on,
+//! which takes a `selftest-mutations` build.
 
 use ale_htm::{CrashPoint, InjectKind, InjectPoint, TornMode};
 use ale_vtime::PlatformKind;
 
-use crate::{CheckConfig, CrashSpec, FaultSpec, StrategyKind, Workload};
+use crate::{CheckConfig, CrashSpec, FaultSpec, Lane, StrategyKind, Workload};
 
 fn point_name(p: InjectPoint) -> &'static str {
     match p {
@@ -71,7 +75,8 @@ fn parse_crash_point(s: &str) -> Option<CrashPoint> {
     }
 }
 
-fn torn_name(t: TornMode) -> &'static str {
+/// Render a torn-write mode in the replay/CLI syntax.
+pub fn torn_name(t: TornMode) -> &'static str {
     match t {
         TornMode::Truncate => "truncate",
         TornMode::Flip => "flip",
@@ -223,6 +228,10 @@ pub fn parse(text: &str) -> Result<CheckConfig, String> {
             "trace" => cfg.trace = value.parse().map_err(|_| bad("trace"))?,
             "crash" => cfg.crash = Some(parse_crash(value)?),
             "torn" => cfg.torn = Some(parse_torn(value)?),
+            // Not part of the config: see `lane`.
+            "mutation" => {
+                Lane::by_name(value).ok_or_else(|| bad("mutation"))?;
+            }
             _ => return Err(format!("line {}: unknown key `{key}`", lineno + 1)),
         }
     }
@@ -236,6 +245,14 @@ pub fn parse(text: &str) -> Result<CheckConfig, String> {
         return Err("torn= requires crash=".into());
     }
     Ok(cfg)
+}
+
+/// The self-test lane a replay file was written by (its `mutation=` line),
+/// if any.
+pub fn lane(text: &str) -> Option<&'static Lane> {
+    text.lines()
+        .find_map(|l| l.trim().strip_prefix("mutation="))
+        .and_then(Lane::by_name)
 }
 
 #[cfg(test)]
@@ -348,6 +365,17 @@ mod tests {
     }
 
     #[test]
+    fn selftest_lane_rides_along_without_touching_the_config() {
+        let text = format!(
+            "{}mutation=mut-skip-validate\n",
+            write(&CheckConfig::default())
+        );
+        assert_eq!(parse(&text).unwrap(), CheckConfig::default());
+        assert_eq!(lane(&text).map(|l| l.name), Some("mut-skip-validate"));
+        assert!(lane(&write(&CheckConfig::default())).is_none());
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         assert!(parse("workload=quantum\n").is_err());
         assert!(parse("nonsense\n").is_err());
@@ -365,6 +393,7 @@ mod tests {
             "torn without crash must be rejected"
         );
         assert!(parse("zipf_milli=heavy\n").is_err());
+        assert!(parse("mutation=mut-nonsense\n").is_err());
         assert!(parse("shards=0\n").is_err(), "zero shards must be rejected");
     }
 

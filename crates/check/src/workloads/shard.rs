@@ -287,5 +287,6 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
         decisions: report.decisions,
         makespan_ns: report.makespan_ns,
         stat_parity: Some(super::granule_stat_parity(&ale)),
+        ..Default::default()
     }
 }

@@ -45,6 +45,6 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
         digest: h.finish(),
         decisions: report.decisions,
         makespan_ns: report.makespan_ns,
-        stat_parity: None,
+        ..Default::default()
     }
 }

@@ -14,6 +14,7 @@
 
 use ale_core::{Ale, AleConfig, StaticPolicy};
 use ale_hashmap::{AleHashMap, MapConfig};
+use ale_htm::{mutated, Mutation};
 use ale_vtime::{tick, Event};
 
 use super::shadow::{ShadowModel, TtlShadow};
@@ -57,8 +58,8 @@ impl TtlCache {
         if !self.map.get(key, &mut val) {
             return None;
         }
-        if cfg!(feature = "mut-ttl-stale-read") {
-            // MUTATION: serve whatever is cached without revalidating the
+        if mutated(Mutation::TtlStaleRead) {
+            // Self-test mutation: serve whatever is cached without revalidating the
             // deadline — the stale read the freshness oracle must catch.
             return Some(val);
         }
@@ -247,6 +248,6 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
         digest: h.finish(),
         decisions: report.decisions,
         makespan_ns: report.makespan_ns,
-        stat_parity: None,
+        ..Default::default()
     }
 }

@@ -16,7 +16,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use ale_htm::{AbortCode, BreakerTransition};
+use ale_htm::{mutated, AbortCode, BreakerTransition, Mutation};
 use ale_sync::Backoff;
 use ale_vtime::{now, Rng};
 
@@ -205,14 +205,14 @@ fn defer_now(ale: &Ale, rng: &mut Rng) -> bool {
 
 /// Trace hook: one `ModeDecision` record per completed execution. The
 /// enabled-check keeps label interning (a mutex) off the disabled path; the
-/// `mut-trace-drop-event` self-test mutation skips SWOpt completions so
+/// `TraceDropEvent` self-test mutation skips SWOpt completions so
 /// ale-check can prove the trace-digest oracle notices a dropped emit.
 #[inline]
 fn trace_mode_decision(meta: &LockMeta, mode: ExecMode, why: u8, attempts: u64) {
     if !ale_trace::is_enabled() {
         return;
     }
-    if cfg!(feature = "mut-trace-drop-event") && mode == ExecMode::SwOpt {
+    if mutated(Mutation::TraceDropEvent) && mode == ExecMode::SwOpt {
         return;
     }
     ale_trace::emit(ale_trace::TraceEvent::mode_decision(
@@ -471,11 +471,11 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                 // it. Accepted, not a hygiene bug.
                 // ale-lint: allow(htm-body-hygiene-transitive)
                 ale_htm::attempt(profile, rng, || {
-                    // Self-test mutation (`mut-lazy-subscription`): skipping
+                    // Self-test mutation (`LazySubscription`): skipping
                     // the in-transaction lock subscription is the classic
                     // unsafe-TLE bug (Dice et al.) — ale-check's oracles
                     // must catch it.
-                    if !cfg!(feature = "mut-lazy-subscription")
+                    if !mutated(Mutation::LazySubscription)
                         && !reentrant
                         && ops.is_conflicting_locked()
                     {
@@ -840,11 +840,11 @@ fn run_protocol<T, O: LockOps + ?Sized>(
 
 /// Restore seqlock parity after a panicking body: close every conflicting
 /// region this critical section opened and left open (outermost mark
-/// captured before the body ran). The `mut-leak-region-on-panic` self-test
+/// captured before the body ran). The `LeakRegionOnPanic` self-test
 /// mutation skips the repair — ale-check's oracles must then observe the
 /// stuck-odd version / leaked region.
 fn close_regions_after_panic(mark: usize) {
-    if !cfg!(feature = "mut-leak-region-on-panic") {
+    if !mutated(Mutation::LeakRegionOnPanic) {
         ale_sync::close_open_regions(mark);
     }
 }

@@ -13,7 +13,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ale_htm::{BreakerConfig, StormBreaker};
+use ale_htm::{mutated, BreakerConfig, Mutation, StormBreaker};
 use ale_sync::{CachePadded, SampledTime, StatCounter, TickMutex};
 use ale_vtime::{tick, Event, Rng};
 
@@ -71,13 +71,15 @@ impl GranuleStats {
     /// simulator (see [`StatSink`]), so no virtual-time schedule ever
     /// depends on it.
     pub fn apply_delta(&self, d: &StatDelta) {
-        let executions = d.executions;
-        // MUTATION mut-stat-batch-lost: the flush silently drops the
-        // batched executions delta — completed critical sections vanish
+        // Self-test mutation (`StatBatchLost`): the flush silently drops
+        // the batched executions delta — completed critical sections vanish
         // from the statistics. The stat-parity oracle (executions count vs
         // observed completions) must catch this.
-        #[cfg(feature = "mut-stat-batch-lost")]
-        let executions = 0u32;
+        let executions = if mutated(Mutation::StatBatchLost) {
+            0
+        } else {
+            d.executions
+        };
         let mut draw = ale_sync::fold_draw();
         let mut fold = |counter: &StatCounter, n: u32| {
             counter.add_drawn(n as u64, draw);
@@ -204,7 +206,7 @@ impl StatDelta {
 ///   nonzero field. Selected on real hardware, where `tick` is a no-op
 ///   and eliminating the per-event shared CAS is the entire win.
 ///
-/// The `mut-stat-batch-lost` self-test mutation forces the batched path
+/// The `StatBatchLost` self-test mutation forces the batched path
 /// even under simulation so ale-check can exercise the flush and prove
 /// the stat-parity oracle notices a dropped executions delta.
 #[derive(Debug)]
@@ -240,7 +242,7 @@ impl<'a> StatSink<'a> {
     /// (outside a simulated lane), per-event under the simulator.
     #[inline]
     pub fn new(stats: &'a GranuleStats) -> Self {
-        if cfg!(feature = "mut-stat-batch-lost")
+        if mutated(Mutation::StatBatchLost)
             || !ale_vtime::is_simulated()
             || FORCE_BATCHED.load(std::sync::atomic::Ordering::Relaxed)
         {

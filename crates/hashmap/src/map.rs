@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use ale_core::{scope, Ale, AleLock, CsCtx, CsOptions, CsOutcome, ScopeId};
-use ale_htm::HtmCell;
+use ale_htm::{mutated, HtmCell, Mutation};
 use ale_sync::{CachePadded, SeqVersion, SpinLock};
 
 use crate::node::{NodeSlab, NIL};
@@ -136,11 +136,11 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
             return 0;
         }
         let val = self.slab.node(id).val.get();
-        // Self-test mutation (`mut-skip-validate`): dropping the
+        // Self-test mutation (`SkipValidate`): dropping the
         // validation after copying the value lets a SWOpt reader
         // return data from a node recycled mid-read — ale-check's
         // value-integrity oracle must catch it.
-        if SWOPT && !cfg!(feature = "mut-skip-validate") && !ver.validate(v) {
+        if SWOPT && !mutated(Mutation::SkipValidate) && !ver.validate(v) {
             return -1;
         }
         *ret_val = val;
@@ -370,10 +370,10 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
             return None;
         }
         let next = self.slab.node(id).next.get();
-        // Self-test mutation (`mut-skip-version-bump`): unlinking
+        // Self-test mutation (`SkipVersionBump`): unlinking
         // without bumping the version makes concurrent SWOpt readers
         // follow a recycled node unnoticed — ale-check must catch it.
-        let bump = cs.could_swopt_be_running() && !cfg!(feature = "mut-skip-version-bump");
+        let bump = cs.could_swopt_be_running() && !mutated(Mutation::SkipVersionBump);
         ver.conflicting(bump, || self.slab.unlink(head, prev, next));
         Some(id)
     }

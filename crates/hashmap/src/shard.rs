@@ -50,7 +50,7 @@
 use std::sync::Arc;
 
 use ale_core::{scope, Ale, AleLock, CsCtx, CsOptions, CsOutcome, ScopeId};
-use ale_htm::HtmCell;
+use ale_htm::{mutated, HtmCell, Mutation};
 use ale_sync::{CachePadded, SeqBuffer, SeqVersion, SpinLock};
 
 use crate::node::{NodeSlab, NIL};
@@ -176,8 +176,8 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
     /// The insert router: which current-table bucket takes a new link.
     #[inline]
     fn route_insert(&self, hash: usize, curt: &Table, prev: u64) -> usize {
-        if cfg!(feature = "mut-shard-route-stale") && prev != NO_TABLE {
-            // MUTATION: the router masks with the *pre-resize* table's mask
+        if mutated(Mutation::ShardRouteStale) && prev != NO_TABLE {
+            // Self-test mutation: the router masks with the *pre-resize* table's mask
             // while a migration is live. Keys whose doubled-mask bit is set
             // land in the wrong new-table bucket, where no lookup (which
             // masks correctly) will ever find them — a lost key the shard
@@ -317,7 +317,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         let idx = cursor as usize;
         let mut bp = prevt.bucket(idx).get();
         let bump = cs.could_swopt_be_running();
-        let brackets = bump && !cfg!(feature = "mut-resize-skip-republish");
+        let brackets = bump && !mutated(Mutation::ResizeSkipRepublish);
         // The chain splice is the conflicting action: a SWOpt reader that
         // overlaps it could find the key in *neither* table (gone from the
         // old bucket, not yet linked into the new one). The bracket on the
@@ -334,7 +334,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
             }
         });
         if bump && !brackets {
-            // MUTATION (`mut-resize-skip-republish`): the chains moved
+            // Self-test mutation (`ResizeSkipRepublish`): the chains moved
             // *before* any version bump — a reader that overlapped the
             // splice has already validated successfully against the stale
             // even version and reported the key absent. The late bump

@@ -150,6 +150,66 @@ impl InjectPlan {
 }
 
 // ---------------------------------------------------------------------------
+// Self-test mutations (the `selftest-mutations` build)
+// ---------------------------------------------------------------------------
+
+/// A deliberately re-introduced bug that `ale-check selftest` must catch.
+/// Each variant guards one or two sites behind [`mutated`]; what the bug
+/// is, which workload hunts it and which oracle must fire is one row of
+/// `ale_check::MUTATIONS` — the only per-mutation list in the workspace.
+///
+/// The selector lives here because this crate is the fault-injection home
+/// and the lowest one every mutated crate (sync, core, hashmap, kyoto,
+/// check) already depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    LazySubscription,
+    SkipVersionBump,
+    SkipValidate,
+    SnziSkipHalf,
+    LeakRegionOnPanic,
+    TraceDropEvent,
+    TtlStaleRead,
+    ReorderPublish,
+    WalAckBeforeDurable,
+    RecoverySkipChecksum,
+    ResizeSkipRepublish,
+    ShardRouteStale,
+    StatBatchLost,
+}
+
+/// The active mutation as `variant + 1`; 0 = none. Written only between
+/// schedules (no lane is running), so `Relaxed` suffices: spawning the
+/// lanes orders the store before every load.
+#[cfg(feature = "selftest-mutations")]
+static MUTATION: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+
+/// Activate `m` process-wide (`None` = the shipped behaviour). Exists only
+/// in the `selftest-mutations` build.
+#[cfg(feature = "selftest-mutations")]
+pub fn set_mutation(m: Option<Mutation>) {
+    MUTATION.store(m.map_or(0, |m| m as u8 + 1), Ordering::Relaxed);
+}
+
+/// Is mutation `m` active? A constant `false` — the guarded arm compiles
+/// out and no selector exists — unless the crate is built with
+/// `selftest-mutations`, where it is one relaxed load: no tick, no draw,
+/// so that build with nothing active runs the shipped schedules bit for
+/// bit (pinned by `ale-check`'s `digest_regressions`).
+#[inline(always)]
+pub fn mutated(m: Mutation) -> bool {
+    #[cfg(feature = "selftest-mutations")]
+    {
+        MUTATION.load(Ordering::Relaxed) == m as u8 + 1
+    }
+    #[cfg(not(feature = "selftest-mutations"))]
+    {
+        let _ = m;
+        false
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Crash-point injection (process-death simulation)
 // ---------------------------------------------------------------------------
 

@@ -60,8 +60,8 @@ pub mod txn;
 pub use abort::{AbortCode, AbortStatus};
 pub use cell::HtmCell;
 pub use inject::{
-    CrashPlan, CrashPoint, InjectKind, InjectPlan, InjectPoint, InjectRule, InjectedCrash,
-    InjectedPanic, TornMode,
+    mutated, CrashPlan, CrashPoint, InjectKind, InjectPlan, InjectPoint, InjectRule, InjectedCrash,
+    InjectedPanic, Mutation, TornMode,
 };
 pub use storm::{htm_supported, BreakerConfig, BreakerState, BreakerTransition, StormBreaker};
 pub use txn::{attempt, explicit_abort, in_txn, init_panic_hook, read_set_len, write_set_len};

@@ -53,7 +53,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ale_core::{Ale, LockPoison};
-use ale_htm::inject::{self, CrashPoint, TornMode};
+use ale_htm::inject::{self, mutated, CrashPoint, Mutation, TornMode};
 use ale_vtime::{tick, Event};
 
 use crate::ale_db::{AleCacheDb, DbConfig};
@@ -151,7 +151,7 @@ impl WalRecord {
     }
 
     /// Decode the fields, validating marker and op but *not* the checksum.
-    /// This is what the `mut-recovery-skip-checksum` mutation (wrongly)
+    /// This is what the `RecoverySkipChecksum` self-test mutation (wrongly)
     /// trusts for a corrupt tail record.
     fn decode_fields(frame: &[u8; RECORD_BYTES]) -> Result<WalRecord, FrameError> {
         let seq = u64::from_le_bytes(frame[8..16].try_into().unwrap());
@@ -182,10 +182,10 @@ struct WalInner {
     log: Vec<u8>,
     next_seq: u64,
     appends: u64,
-    /// `mut-wal-ack-before-durable`: the volatile "OS buffer" a record sits
-    /// in while its caller is already acknowledged — flushed only by the
-    /// *next* append, so a crash in between loses an acked operation.
-    #[cfg(feature = "mut-wal-ack-before-durable")]
+    /// Always empty outside the `WalAckBeforeDurable` self-test mutation:
+    /// the volatile "OS buffer" a record sits in while its caller is
+    /// already acknowledged — flushed only by the *next* append, so a
+    /// crash in between loses an acked operation.
     pending: Vec<u8>,
 }
 
@@ -211,7 +211,6 @@ impl Default for WalInner {
             log: Vec::new(),
             next_seq: 1,
             appends: 0,
-            #[cfg(feature = "mut-wal-ack-before-durable")]
             pending: Vec::new(),
         }
     }
@@ -247,7 +246,7 @@ impl Wal {
     }
 
     /// Append one record, returning its seq. Durable on return (modulo the
-    /// `mut-wal-ack-before-durable` mutation). May raise
+    /// `WalAckBeforeDurable` self-test mutation). May raise
     /// [`ale_htm::InjectedCrash`] per the installed crash plan, or when the
     /// process already crashed (the medium is frozen).
     pub fn append(&self, op: WalOp, key: u64, value: u64) -> u64 {
@@ -273,13 +272,12 @@ impl Wal {
                 drop(g);
                 inject::crash_now();
             }
-            #[cfg(feature = "mut-wal-ack-before-durable")]
-            {
+            if mutated(Mutation::WalAckBeforeDurable) {
                 let flushed = std::mem::replace(&mut g.pending, frame.to_vec());
                 g.log.extend_from_slice(&flushed);
+            } else {
+                g.log.extend_from_slice(&frame);
             }
-            #[cfg(not(feature = "mut-wal-ack-before-durable"))]
-            g.log.extend_from_slice(&frame);
             g.next_seq += 1;
             g.appends += 1;
         }
@@ -324,7 +322,6 @@ impl Wal {
         let mut g = self.lock();
         g.log.truncate(valid_len);
         g.next_seq = next_seq;
-        #[cfg(feature = "mut-wal-ack-before-durable")]
         g.pending.clear();
     }
 }
@@ -375,10 +372,11 @@ pub fn scan(log: &[u8]) -> ScanResult {
         let frame: &[u8; RECORD_BYTES] = log[off..off + RECORD_BYTES].try_into().unwrap();
         let decoded = match WalRecord::decode(frame) {
             Ok(r) => Some(r),
-            #[cfg(feature = "mut-recovery-skip-checksum")]
-            // The mutation under test: a complete frame whose checksum
-            // fails is applied anyway instead of truncating the tail.
-            Err(FrameError::BadChecksum) => WalRecord::decode_fields(frame).ok(),
+            // Self-test mutation: a complete frame whose checksum fails is
+            // applied anyway instead of truncating the tail.
+            Err(FrameError::BadChecksum) if mutated(Mutation::RecoverySkipChecksum) => {
+                WalRecord::decode_fields(frame).ok()
+            }
             Err(_) => None,
         };
         match decoded {
@@ -659,14 +657,11 @@ mod tests {
         log.extend_from_slice(&bad);
         log.extend_from_slice(&rec(3, WalOp::Set, 3, 30).encode());
         let s = scan(&log);
-        #[cfg(not(feature = "mut-recovery-skip-checksum"))]
-        {
-            assert_eq!(s.ops.len(), 1);
-            assert_eq!(
-                s.report.truncated, 2,
-                "the corrupt frame and everything after"
-            );
-        }
+        assert_eq!(s.ops.len(), 1);
+        assert_eq!(
+            s.report.truncated, 2,
+            "the corrupt frame and everything after"
+        );
         assert!(s.report.gapless);
     }
 

@@ -1,9 +1,5 @@
 //! Integration tests for the durable CacheDB: log → commit → ack protocol,
 //! crash-point recovery, torn-tail truncation, and lock-poison healing.
-#![cfg(not(any(
-    feature = "mut-wal-ack-before-durable",
-    feature = "mut-recovery-skip-checksum"
-)))]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};

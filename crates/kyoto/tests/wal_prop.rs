@@ -1,14 +1,6 @@
 //! Property-based tests for the WAL codec and recovery scan: round-trip
 //! fidelity, single-bit-flip detection, and the "never over-apply"
 //! guarantee on arbitrarily damaged logs.
-//!
-//! Compiled out under the `mut-*` durability mutations: those deliberately
-//! break exactly these properties (that is what `ale-check selftest`
-//! proves), so this file asserts the clean build only.
-#![cfg(not(any(
-    feature = "mut-wal-ack-before-durable",
-    feature = "mut-recovery-skip-checksum"
-)))]
 
 use std::collections::HashMap;
 

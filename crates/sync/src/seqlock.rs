@@ -28,7 +28,7 @@
 
 use std::cell::RefCell;
 
-use ale_htm::HtmCell;
+use ale_htm::{mutated, HtmCell, Mutation};
 use ale_vtime::{tick, Event};
 
 use crate::watchdog::{self, StallEvent};
@@ -313,8 +313,8 @@ impl<const N: usize> SeqBuffer<N> {
     /// Publish a new `N`-word snapshot (caller holds the owning lock).
     #[inline]
     pub fn store(&self, vals: [u64; N]) {
-        if cfg!(feature = "mut-reorder-publish") {
-            // MUTATION: the data writes escape *ahead of* the version bump —
+        if mutated(Mutation::ReorderPublish) {
+            // Self-test mutation: the data writes escape *ahead of* the version bump —
             // the classic compiler/CPU reordering the seqlock protocol
             // exists to forbid. Readers that overlap the cell writes
             // validate against a still-even, unchanged version and accept a
@@ -617,9 +617,6 @@ mod tests {
         assert_eq!(buf.load_versioned().0, [5, 6]);
     }
 
-    // Under the mutation the whole point is that snapshots *can* tear, so
-    // this assertion only holds for the correctly-ordered store.
-    #[cfg(not(feature = "mut-reorder-publish"))]
     #[test]
     fn seqbuffer_snapshots_never_tear_under_adversary() {
         use crate::raw_lock::RawLock;

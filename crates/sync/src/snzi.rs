@@ -18,6 +18,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ale_htm::{mutated, Mutation};
 use ale_vtime::{tick, Event};
 
 const HALF: u64 = 1; // counts are in half units; 2 == one whole arrival
@@ -194,10 +195,10 @@ impl Snzi {
                 // at the parent, then try to finalise ½ -> 1.
                 // Chaos point: stretch the transient ½ window under ale-check.
                 crate::chaos::stall();
-                // Self-test mutation (`mut-snzi-skip-half`): forgetting the
+                // Self-test mutation (`SnziSkipHalf`): forgetting the
                 // parent arrival on the ½ transition makes the root
                 // under-count — ale-check's SNZI oracle must catch this.
-                if !cfg!(feature = "mut-snzi-skip-half") {
+                if !mutated(Mutation::SnziSkipHalf) {
                     self.parent_arrive(i);
                 }
                 tick(Event::Cas);
@@ -216,7 +217,7 @@ impl Snzi {
             }
         }
         while undo > 0 {
-            if !cfg!(feature = "mut-snzi-skip-half") {
+            if !mutated(Mutation::SnziSkipHalf) {
                 self.parent_depart(i);
             }
             undo -= 1;

@@ -168,6 +168,48 @@ impl PromWriter {
     }
 }
 
+/// Label values of a mode-decision event's `a` word, in `ExecMode` index
+/// order.
+const MODE_NAMES: [&str; 3] = ["htm", "swopt", "lock"];
+
+/// The mode mix of a merged stream, broken down by a key: count every
+/// `ModeDecision` event `key_of` maps to `Some(key)`, and render one
+/// `<family>{<what>,mode}` counter per observed (key, mode) pair, in
+/// deterministic (key, mode) order.
+fn mode_mix(
+    events: &[TraceEvent],
+    what: &str,
+    key_of: impl Fn(&TraceEvent) -> Option<u8>,
+    key_name: impl Fn(u8) -> String,
+) -> String {
+    use crate::event::EventKind;
+    let mut counts: std::collections::BTreeMap<(u8, u8), u64> = std::collections::BTreeMap::new();
+    for e in events {
+        if e.kind() != Some(EventKind::ModeDecision) {
+            continue;
+        }
+        if let Some(key) = key_of(e) {
+            *counts.entry((key, e.a)).or_insert(0) += 1;
+        }
+    }
+    let family = format!("ale_{what}_mode_total");
+    let mut w = PromWriter::new();
+    w.family(
+        &family,
+        &format!("Critical-section completions by {what} and mode."),
+        "counter",
+    );
+    for ((key, mode), n) in &counts {
+        let mode = MODE_NAMES.get(*mode as usize).unwrap_or(&"unknown");
+        w.sample(
+            &family,
+            &[(what, &key_name(*key)), ("mode", mode)],
+            *n as f64,
+        );
+    }
+    w.finish()
+}
+
 /// Break a merged stream's mode mix down by scenario: one
 /// `ale_scenario_mode_total{scenario,mode}` counter per observed
 /// (scenario tag, mode) pair, in deterministic (tag, mode) order.
@@ -175,35 +217,19 @@ impl PromWriter {
 /// Events emitted outside any [`set_scenario`](crate::scenario::set_scenario)
 /// window report as `scenario="untagged"`.
 pub fn scenario_mode_mix(events: &[TraceEvent]) -> String {
-    use crate::event::EventKind;
-    let mut counts: std::collections::BTreeMap<(u8, u8), u64> = std::collections::BTreeMap::new();
-    for e in events {
-        if e.kind() == Some(EventKind::ModeDecision) {
-            *counts.entry((e.c, e.a)).or_insert(0) += 1;
-        }
-    }
-    let mut w = PromWriter::new();
-    w.family(
-        "ale_scenario_mode_total",
-        "Critical-section completions by scenario and mode.",
-        "counter",
-    );
-    for ((tag, mode), n) in &counts {
-        let name = crate::scenario::scenario_name(*tag);
-        let scenario = if name.is_empty() { "untagged" } else { &name };
-        let mode = match mode {
-            0 => "htm",
-            1 => "swopt",
-            2 => "lock",
-            _ => "unknown",
-        };
-        w.sample(
-            "ale_scenario_mode_total",
-            &[("scenario", scenario), ("mode", mode)],
-            *n as f64,
-        );
-    }
-    w.finish()
+    mode_mix(
+        events,
+        "scenario",
+        |e| Some(e.c),
+        |tag| {
+            let name = crate::scenario::scenario_name(tag);
+            if name.is_empty() {
+                "untagged".into()
+            } else {
+                name
+            }
+        },
+    )
 }
 
 /// Break a merged stream's mode mix down by *shard*: one
@@ -218,41 +244,12 @@ pub fn scenario_mode_mix(events: &[TraceEvent]) -> String {
 /// StormBreaker demoting `shard03` to Lock while cold shards keep
 /// eliding) directly visible on a dashboard.
 pub fn shard_mode_mix(events: &[TraceEvent]) -> String {
-    use crate::event::EventKind;
-    let mut counts: std::collections::BTreeMap<(u8, u8), u64> = std::collections::BTreeMap::new();
-    for e in events {
-        if e.kind() != Some(EventKind::ModeDecision) {
-            continue;
-        }
-        let label = label_name(e.label);
-        let Some(idx) = label.strip_prefix("shard") else {
-            continue;
-        };
-        let Ok(shard) = idx.parse::<u8>() else {
-            continue;
-        };
-        *counts.entry((shard, e.a)).or_insert(0) += 1;
-    }
-    let mut w = PromWriter::new();
-    w.family(
-        "ale_shard_mode_total",
-        "Critical-section completions by shard and mode.",
-        "counter",
-    );
-    for ((shard, mode), n) in &counts {
-        let mode = match mode {
-            0 => "htm",
-            1 => "swopt",
-            2 => "lock",
-            _ => "unknown",
-        };
-        w.sample(
-            "ale_shard_mode_total",
-            &[("shard", &shard.to_string()), ("mode", mode)],
-            *n as f64,
-        );
-    }
-    w.finish()
+    mode_mix(
+        events,
+        "shard",
+        |e| label_name(e.label).strip_prefix("shard")?.parse().ok(),
+        |shard| shard.to_string(),
+    )
 }
 
 #[cfg(test)]
