@@ -23,7 +23,7 @@
 //!    `could_swopt_be_running` answers `true` in Lock mode.)
 
 use ale_htm::HtmCell;
-use ale_sync::{Backoff, Snzi, SnziGuard};
+use ale_sync::{Backoff, CachePadded, Snzi, SnziGuard};
 use ale_vtime::tick;
 
 /// Default stripes for the active-SWOpt indicator (used by
@@ -40,7 +40,10 @@ const RETRY_SNZI_LEVELS: u32 = 3;
 /// Per-lock grouping state.
 pub struct Grouping {
     retry_snzi: Snzi,
-    active: Vec<HtmCell<u64>>,
+    /// One stripe per cache line: every SWOpt execution CASes its stripe
+    /// twice, and `stripe_hint` hands neighbouring threads neighbouring
+    /// stripes.
+    active: Vec<CachePadded<HtmCell<u64>>>,
 }
 
 impl Default for Grouping {
@@ -60,18 +63,14 @@ impl Grouping {
     pub fn with_stripes(stripes: usize) -> Self {
         Grouping {
             retry_snzi: Snzi::new(RETRY_SNZI_LEVELS),
-            active: (0..stripes.max(1)).map(|_| HtmCell::new(0)).collect(),
+            active: (0..stripes.max(1))
+                .map(|_| CachePadded::new(HtmCell::new(0)))
+                .collect(),
         }
     }
 
     fn stripe(&self) -> &HtmCell<u64> {
-        let id = ale_vtime::lane_id().unwrap_or_else(|| {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::hash::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            h.finish() as usize
-        });
-        &self.active[id % self.active.len()]
+        &self.active[ale_vtime::stripe_hint() % self.active.len()]
     }
 
     /// Mark this thread as executing a SWOpt attempt. Must be held across

@@ -59,12 +59,7 @@ impl CsThread {
         self.rng
             .borrow_mut()
             .get_or_insert_with(|| {
-                let lane = ale_vtime::lane_id().map(|l| l as u64).unwrap_or_else(|| {
-                    use std::hash::{Hash, Hasher};
-                    let mut h = std::hash::DefaultHasher::new();
-                    std::thread::current().id().hash(&mut h);
-                    h.finish()
-                });
+                let lane = ale_vtime::stripe_hint() as u64;
                 Rng::new(seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             })
             .fork(0xC5)

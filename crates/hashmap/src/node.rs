@@ -12,7 +12,7 @@
 //! using recycled fields.
 
 use ale_htm::HtmCell;
-use ale_sync::TickMutex;
+use ale_sync::{CachePadded, TickMutex};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// Nodes per chunk (power of two).
@@ -41,8 +41,9 @@ pub struct NodeSlab<V: Copy + Default> {
     chunks: Vec<AtomicPtr<Node<V>>>,
     /// Bump allocator: next never-used node id.
     next_fresh: AtomicU64,
-    /// Striped free lists of recycled node ids.
-    free: Vec<TickMutex<Vec<u64>>>,
+    /// Striped free lists of recycled node ids, one per line: `stripe_hint`
+    /// hands neighbouring threads neighbouring stripes.
+    free: Vec<CachePadded<TickMutex<Vec<u64>>>>,
     /// Serialises chunk allocation.
     grow_lock: TickMutex<()>,
     capacity: u64,
@@ -68,7 +69,7 @@ impl<V: Copy + Default> NodeSlab<V> {
                 .collect(),
             next_fresh: AtomicU64::new(1),
             free: (0..FREE_STRIPES)
-                .map(|_| TickMutex::new(Vec::new()))
+                .map(|_| CachePadded::new(TickMutex::new(Vec::new())))
                 .collect(),
             grow_lock: TickMutex::new(()),
             capacity: (chunks_needed.max(1) * CHUNK_SIZE) as u64,
@@ -76,13 +77,7 @@ impl<V: Copy + Default> NodeSlab<V> {
     }
 
     fn stripe(&self) -> &TickMutex<Vec<u64>> {
-        let id = ale_vtime::lane_id().unwrap_or_else(|| {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::hash::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            h.finish() as usize
-        });
-        &self.free[id % FREE_STRIPES]
+        &self.free[ale_vtime::stripe_hint() % FREE_STRIPES]
     }
 
     /// Allocate a node and initialise its fields (plain stores — callers

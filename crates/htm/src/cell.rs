@@ -15,6 +15,35 @@
 //! Cells hold any `Copy` type up to [`MAX_CELL_SIZE`] bytes. The
 //! value-plus-version layout follows crossbeam's seqlock technique
 //! (volatile value access bracketed by version checks).
+//!
+//! # The version clock
+//!
+//! Sections that do not conflict must not communicate, so a plain store
+//! never *writes* the global clock: it publishes
+//! `max(clock, old version) + 1` from a **load** of it (TL2's "GV5").
+//! Versions therefore run ahead of the clock, and a transaction that meets
+//! one newer than its snapshot does not abort: it re-checks its read set
+//! and, if nothing it read has changed, moves its snapshot forward
+//! (LSA / TinySTM timestamp extension, `txn::tx_read`). Only a *writing
+//! commit* and that extension ever write the clock. Four invariants hold
+//! the scheme together (DESIGN.md §5.1 has the arguments):
+//!
+//! * **I1** — a cell's version strictly increases on every write, even
+//!   while the clock stands still ([`next_version`]). `load_consistent`'s
+//!   `m1 == m2` check on a 16-byte payload depends on it: a bare
+//!   `clock + 1` would republish the same meta word over a new value.
+//! * **I2** — a write that locks a cell after a transaction read it
+//!   publishes a version above that transaction's snapshot. Writer: lock
+//!   the meta word, *then* load the clock. Reader: load / `fetch_max` the
+//!   clock, *then* load the meta word. That is a store-buffering pair, so
+//!   those four accesses are `SeqCst` (free on x86: the RMWs are locked
+//!   instructions anyway and a `SeqCst` load is a plain `mov`).
+//! * **I3** — whether a transaction's read set is still valid is decided
+//!   from the meta words of *its own* cells, never from the clock's
+//!   absolute value: other simulations and tests in the process move the
+//!   clock, and `ver > rv` only selects whether the re-check runs.
+//! * **I4** — the extension charges no virtual time and draws no random
+//!   number (it models nothing real HTM does).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -41,15 +70,33 @@ pub(crate) fn is_locked(meta: u64) -> bool {
     meta & LOCKED != 0
 }
 
-/// The TL2 global version clock. Plain stores and transaction commits
-/// advance it; transactions snapshot it at begin and treat any version
-/// newer than the snapshot as a conflict.
-pub(crate) static GLOBAL_VCLOCK: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the global version clock (exposed for tests/stats).
-pub fn global_version() -> u64 {
-    GLOBAL_VCLOCK.load(Ordering::Acquire)
+/// The version a write publishes over a cell whose pre-lock meta word was
+/// `old_meta`, having loaded `clock` *after* locking it: above the old
+/// version (I1) and above every snapshot taken before the lock (I2).
+#[inline]
+pub(crate) fn next_version(clock: u64, old_meta: u64) -> u64 {
+    clock.max(ver_of(old_meta)) + 1
 }
+
+/// The version clock on a cache line (and prefetch pair) of its own: every
+/// writer and every beginning transaction loads it, and the statics the
+/// linker would otherwise put beside it are read by every section.
+#[repr(align(128))]
+pub(crate) struct VersionClock(AtomicU64);
+
+impl std::ops::Deref for VersionClock {
+    type Target = AtomicU64;
+
+    #[inline]
+    fn deref(&self) -> &AtomicU64 {
+        &self.0
+    }
+}
+
+/// The global version clock. Transactions snapshot it at begin; plain
+/// stores only *load* it; writing commits and snapshot extensions advance
+/// it with `fetch_max`. See the module docs for the protocol.
+pub(crate) static GLOBAL_VCLOCK: VersionClock = VersionClock(AtomicU64::new(0));
 
 /// One word of transactional memory. See the module docs.
 ///
@@ -171,19 +218,24 @@ impl<T: Copy> HtmCell<T> {
         None
     }
 
-    /// Non-transactional store: lock the cell, write, release with a fresh
-    /// global version (invalidating concurrent transactional readers).
-    pub(crate) fn plain_store(&self, value: T) {
+    /// Lock the cell for a plain write: spin until the meta word is
+    /// unlocked and ours, return the pre-lock word.
+    fn lock_plain(&self) -> u64 {
         let mut spins = 0u32;
         loop {
+            // Relaxed: only a hint for the CAS below, which re-checks it.
             let m = self.meta.load(Ordering::Relaxed);
+            // SeqCst on success: the writer half of I2 — the clock load in
+            // `publish` must not be satisfied before this lock is visible
+            // to a transaction that then reads the meta word. It is also
+            // the acquire that orders the value access after the lock.
             if !is_locked(m)
                 && self
                     .meta
-                    .compare_exchange_weak(m, m | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange_weak(m, m | LOCKED, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
-                break;
+                return m;
             }
             tick(Event::Cas);
             if spins > 6 {
@@ -192,10 +244,28 @@ impl<T: Copy> HtmCell<T> {
             spins += 1;
             std::hint::spin_loop();
         }
+    }
+
+    /// Release a cell locked by [`lock_plain`](Self::lock_plain) after
+    /// writing its value: publish a version above the old one and above
+    /// every snapshot taken before the lock. A *load* of the clock — plain
+    /// stores never write the line every thread shares.
+    #[inline]
+    fn publish(&self, old_meta: u64) {
+        // SeqCst: second half of the writer's I2 pair (see `lock_plain`).
+        let wv = next_version(GLOBAL_VCLOCK.load(Ordering::SeqCst), old_meta);
+        // Release: the value write above happens-before any reader that
+        // observes this unlocked word.
+        self.meta.store(wv << 1, Ordering::Release);
+    }
+
+    /// Non-transactional store: lock the cell, write, release with a fresh
+    /// version (invalidating concurrent transactional readers).
+    pub(crate) fn plain_store(&self, value: T) {
+        let m = self.lock_plain();
         // SAFETY: we hold the cell lock; seqlock readers retry while locked.
         unsafe { std::ptr::write_volatile(self.value.get(), value) };
-        let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::Relaxed) + 1;
-        self.meta.store(wv << 1, Ordering::Release);
+        self.publish(m);
         tick(Event::SharedStore);
     }
 
@@ -221,35 +291,21 @@ impl<T: Copy> HtmCell<T> {
                 Err(seen)
             };
         }
-        let mut spins = 0u32;
-        loop {
-            let m = self.meta.load(Ordering::Relaxed);
-            if !is_locked(m)
-                && self
-                    .meta
-                    .compare_exchange_weak(m, m | LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                tick(Event::Cas);
-                // SAFETY: we hold the cell lock.
-                let seen = unsafe { std::ptr::read_volatile(self.value.get()) };
-                if seen == current {
-                    unsafe { std::ptr::write_volatile(self.value.get(), new) };
-                    let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.meta.store(wv << 1, Ordering::Release);
-                    return Ok(seen);
-                }
-                // No write happened: restore the original meta so
-                // subscribed transactions are not invalidated needlessly.
-                self.meta.store(m, Ordering::Release);
-                return Err(seen);
-            }
-            tick(Event::Cas);
-            if spins > 6 {
-                tick(Event::Backoff(spins.min(16)));
-            }
-            spins += 1;
-            std::hint::spin_loop();
+        let m = self.lock_plain();
+        tick(Event::Cas);
+        // SAFETY: we hold the cell lock.
+        let seen = unsafe { std::ptr::read_volatile(self.value.get()) };
+        if seen == current {
+            // SAFETY: as above.
+            unsafe { std::ptr::write_volatile(self.value.get(), new) };
+            self.publish(m);
+            Ok(seen)
+        } else {
+            // No write happened: restore the original meta so subscribed
+            // transactions are not invalidated needlessly (Release: pairs
+            // with the readers' acquire loads, as in `publish`).
+            self.meta.store(m, Ordering::Release);
+            Err(seen)
         }
     }
 
@@ -316,6 +372,46 @@ mod tests {
             "two stores must advance the version ({v0} -> {v2})"
         );
         assert!(!is_locked(c.meta.load(Ordering::Relaxed)));
+    }
+
+    #[test]
+    fn versions_increase_while_the_clock_stands_still() {
+        // I1 on the rule itself: with the clock held at 5 a bare `clock + 1`
+        // would republish version 6 for ever.
+        let mut meta = 0u64;
+        for _ in 0..10_000 {
+            let v = next_version(5, meta);
+            assert!(v > ver_of(meta) && v > 5);
+            meta = v << 1;
+        }
+        assert_eq!(ver_of(meta), 10_005);
+    }
+
+    #[test]
+    fn ten_thousand_stores_never_repeat_a_meta_word() {
+        // I1 on the cell: no transaction runs here, so nothing this test
+        // does moves the clock, and `load_consistent`'s `m1 == m2` check on
+        // the 16-byte payload needs every store to publish a new word.
+        let c = HtmCell::new((0u64, 0u64));
+        let mut last = c.meta.load(Ordering::Relaxed);
+        for i in 1..=10_000u64 {
+            if i % 2 == 0 {
+                c.set((i, i));
+            } else {
+                assert!(c.compare_exchange((i - 1, i - 1), (i, i)).is_ok());
+            }
+            let m = c.meta.load(Ordering::Relaxed);
+            assert!(!is_locked(m));
+            assert!(m > last, "store {i} republished meta word {m:#x}");
+            last = m;
+        }
+        assert_eq!(c.get(), (10_000, 10_000));
+    }
+
+    #[test]
+    fn the_clock_has_a_line_of_its_own() {
+        assert_eq!(std::mem::align_of::<VersionClock>(), 128);
+        assert_eq!(std::mem::size_of::<VersionClock>(), 128);
     }
 
     #[test]

@@ -1,17 +1,26 @@
 //! The transaction engine: TL2-style lazy versioning with a global version
-//! clock, plus the best-effort failure model.
+//! clock and LSA-style snapshot extension, plus the best-effort failure
+//! model.
 //!
 //! One [`attempt`] is one hardware transaction:
 //!
 //! 1. **Begin** — snapshot the global version clock (`rv`); maybe abort
 //!    spuriously (per-transaction probability).
-//! 2. **Body** — [`HtmCell::get`](crate::HtmCell::get) validates each read
-//!    against `rv` (opacity: an inconsistent view is impossible — the
-//!    transaction aborts instead); `set` buffers into the write set.
-//!    Capacity and per-access spurious aborts are checked here.
+//! 2. **Body** — [`HtmCell::get`](crate::HtmCell::get) records the meta
+//!    word of each cell it reads. A version at or below `rv` was published
+//!    before the snapshot; one above it (plain stores run ahead of the
+//!    clock, see [`cell`](crate::cell)) makes the transaction re-check
+//!    every recorded word and, if none moved, *extend* `rv` — a line
+//!    written before the transaction first touched it is not a conflict,
+//!    on real HTM or here. A moved word is one (opacity: an inconsistent
+//!    view is impossible — the transaction aborts instead). `set` buffers
+//!    into the write set. Capacity and per-access spurious aborts are
+//!    checked here.
 //! 3. **Commit** — lock the write-set cells (bounded spin, else conflict
-//!    abort), validate the read set, advance the global clock, publish the
-//!    buffered writes, release with the new version.
+//!    abort), re-check the recorded read set, publish the buffered writes
+//!    under a version above every cell's old one and the clock, and advance
+//!    the clock to it (the one clock write of a writing commit; a read-only
+//!    commit writes nothing).
 //!
 //! Aborts unwind with a private payload caught in [`attempt`] — control
 //! never returns into the body, matching real HTM. A process-wide panic
@@ -29,7 +38,7 @@ use ale_vtime::{tick, tick_n, Event, HtmProfile, Rng};
 
 use crate::abort::AbortStatus;
 use crate::besteffort::FailureModel;
-use crate::cell::{is_locked, ver_of, HtmCell, GLOBAL_VCLOCK, LOCKED, MAX_CELL_SIZE};
+use crate::cell::{is_locked, next_version, ver_of, HtmCell, GLOBAL_VCLOCK, LOCKED, MAX_CELL_SIZE};
 
 /// How long a committer spins on a locked write-set cell before declaring a
 /// conflict. Small: commit-time locks are held only for the publish phase.
@@ -38,11 +47,16 @@ const COMMIT_SPIN_LIMIT: u32 = 64;
 /// Sliding window scanned to suppress duplicate read-set entries.
 const READ_DEDUP_WINDOW: usize = 8;
 
+/// One transactional read: the cell's meta word and what it held.
+type ReadEntry = (*const AtomicU64, u64);
+
 struct WriteEntry {
     meta: *const AtomicU64,
     value_ptr: *mut u8,
     size: usize,
     buf: [u8; MAX_CELL_SIZE],
+    /// The pre-lock meta word, from the moment `commit` locks the cell.
+    saved: u64,
 }
 
 /// The calling thread's transaction, armed in place by every [`attempt`]:
@@ -50,7 +64,7 @@ struct WriteEntry {
 /// steady-state attempt neither allocates nor moves the state.
 struct TxState {
     rv: u64,
-    reads: Vec<*const AtomicU64>,
+    reads: Vec<ReadEntry>,
     writes: Vec<WriteEntry>,
     /// `Some` from arm to disarm.
     fm: Option<FailureModel>,
@@ -208,8 +222,10 @@ pub fn attempt<R>(
                 self.0.borrow_mut().disarm();
             }
         }
+        // SeqCst: the reader half of I2 (`cell` module docs) — every meta
+        // word this transaction loads is loaded after this snapshot.
         slot.borrow_mut()
-            .arm(GLOBAL_VCLOCK.load(Ordering::Acquire), fm);
+            .arm(GLOBAL_VCLOCK.load(Ordering::SeqCst), fm);
         let _disarm = Disarm(slot);
         IN_TXN.with(|f| f.set(true));
         let outcome = catch_unwind(AssertUnwindSafe(body));
@@ -226,7 +242,7 @@ pub fn attempt<R>(
                         tick(Event::HtmAbort);
                         do_injected_panic();
                     }
-                    None => commit(&slot.borrow()),
+                    None => commit(&mut slot.borrow_mut()),
                 };
                 match committed {
                     Ok(()) => {
@@ -276,13 +292,23 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
         }
 
         let meta = cell.meta_word();
-        let m1 = meta.load(Ordering::Acquire);
-        if is_locked(m1) || ver_of(m1) > tx.rv {
+        // SeqCst: the reader half of I2 — ordered after the clock access
+        // that fixed `rv` (begin or the last extension); it is also the
+        // acquire that orders the value read after the version check.
+        let m1 = meta.load(Ordering::SeqCst);
+        if is_locked(m1) {
             do_abort(AbortStatus::conflict());
+        }
+        if ver_of(m1) > tx.rv {
+            match extend(&tx.reads, ver_of(m1)) {
+                Some(rv) => tx.rv = rv,
+                None => do_abort(AbortStatus::conflict()),
+            }
         }
         // SAFETY: value race resolved by the version re-check below.
         let v = unsafe { std::ptr::read_volatile(cell.value_ptr()) };
         fence(Ordering::Acquire);
+        // Relaxed: ordered after the value read by the fence above.
         let m2 = meta.load(Ordering::Relaxed);
         if m1 != m2 {
             do_abort(AbortStatus::conflict());
@@ -290,14 +316,40 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
 
         let mp = meta as *const AtomicU64;
         let start = tx.reads.len().saturating_sub(READ_DEDUP_WINDOW);
-        if !tx.reads[start..].contains(&mp) {
-            tx.reads.push(mp);
+        if !tx.reads[start..].iter().any(|r| r.0 == mp) {
+            tx.reads.push((mp, m1));
             if fm.read_capacity_exceeded(tx.reads.len()) {
                 do_abort(AbortStatus::capacity());
             }
         }
         v
     })
+}
+
+/// Snapshot extension: the transaction met version `ver` above its `rv`.
+/// Returns the new `rv` if every cell read so far still holds the meta word
+/// recorded when it was read — then all of them, and the cell being read,
+/// were simultaneously current at a moment after the clock access below, and
+/// that moment is the new snapshot — or `None` if one moved (a conflict).
+///
+/// Charges no virtual time and draws nothing (I4): real HTM has no such
+/// step, so the simulation must not see it. The verdict depends only on
+/// this transaction's own cells (I3).
+#[inline]
+fn extend(reads: &[ReadEntry], ver: u64) -> Option<u64> {
+    // SeqCst RMW: the reader half of I2 for the loads below — a writer that
+    // locks one of these cells after we re-checked it loads the clock after
+    // this `fetch_max` and so publishes above the new snapshot. Raising the
+    // clock to `ver` also lets later transactions start past it.
+    let rv = GLOBAL_VCLOCK.fetch_max(ver, Ordering::SeqCst).max(ver);
+    for &(rp, recorded) in reads {
+        // SAFETY: cells outlive the transactions that access them.
+        // SeqCst: see above; a locked word differs from the recorded one.
+        if unsafe { &*rp }.load(Ordering::SeqCst) != recorded {
+            return None;
+        }
+    }
+    Some(rv)
 }
 
 /// Transactional (buffered) write of `cell` (called from `HtmCell::set`).
@@ -331,11 +383,11 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
             return;
         }
 
-        // Eager conflict check: writing a cell someone else already
-        // published to (or holds locked) cannot commit against our rv if we
-        // also read it; even for blind writes, bailing early is cheaper.
+        // Eager conflict check: a cell someone else holds locked is being
+        // published to right now; bailing early is cheaper than spinning
+        // on it at commit. Relaxed: a hint, `commit` decides.
         let meta = cell.meta_word();
-        let m = meta.load(Ordering::Acquire);
+        let m = meta.load(Ordering::Relaxed);
         if is_locked(m) {
             do_abort(AbortStatus::conflict());
         }
@@ -345,6 +397,7 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
             value_ptr: vp,
             size,
             buf,
+            saved: 0,
         });
         if fm.write_capacity_exceeded(tx.writes.len()) {
             do_abort(AbortStatus::capacity());
@@ -353,63 +406,72 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
 }
 
 /// Commit: lock write cells, validate reads, publish, release.
-fn commit(st: &TxState) -> Result<(), AbortStatus> {
+fn commit(st: &mut TxState) -> Result<(), AbortStatus> {
     if st.writes.is_empty() {
-        // Read-only transactions were validated read-by-read against rv.
+        // Read-only transactions were validated read by read: every cell
+        // was current at the last snapshot (begin or extension).
         return Ok(());
     }
 
-    // Phase 1: lock every write-set cell.
-    let mut locked = 0usize;
-    // Saved metas live outside `st` so the unlock path can restore them.
-    let mut saved_metas: Vec<u64> = Vec::with_capacity(st.writes.len());
-    'locking: for w in &st.writes {
+    // Phase 1: lock every write-set cell, keeping its pre-lock word.
+    for i in 0..st.writes.len() {
         // SAFETY: cells outlive the transactions that access them.
-        let meta = unsafe { &*w.meta };
+        let meta = unsafe { &*st.writes[i].meta };
         let mut spins = 0u32;
         loop {
+            // Relaxed: only a hint for the CAS below, which re-checks it.
             let m = meta.load(Ordering::Relaxed);
             tick(Event::Cas);
+            // SeqCst on success: the writer half of I2 (the clock load in
+            // phase 3 follows it), and one side of the write-skew pair —
+            // two commits that each read what the other writes both lock
+            // first and validate second, so at least one sees the other's
+            // lock.
             if !is_locked(m)
                 && meta
-                    .compare_exchange_weak(m, m | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange_weak(m, m | LOCKED, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
-                saved_metas.push(m);
-                locked += 1;
-                continue 'locking;
+                st.writes[i].saved = m;
+                break;
             }
             spins += 1;
             if spins > COMMIT_SPIN_LIMIT {
-                unlock(&st.writes[..locked], &saved_metas);
+                unlock(&st.writes[..i]);
                 return Err(AbortStatus::conflict());
             }
             std::hint::spin_loop();
         }
     }
 
-    // Phase 2: validate the read set.
+    // Phase 2: validate the read set against the recorded words. A cell
+    // this commit locked passes iff its pre-lock word is the recorded one
+    // (someone else's lock on the recorded word does not).
     tick_n(Event::SharedLoad, st.reads.len() as u64);
-    for &rp in &st.reads {
+    for &(rp, recorded) in &st.reads {
         // SAFETY: as above.
-        let m = unsafe { &*rp }.load(Ordering::Acquire);
-        if is_locked(m) {
-            // Locked by us is fine if the pre-lock version was valid.
-            match st.writes.iter().position(|w| w.meta == rp) {
-                Some(i) if ver_of(saved_metas[i]) <= st.rv => {}
-                _ => {
-                    unlock(&st.writes[..locked], &saved_metas);
-                    return Err(AbortStatus::conflict());
-                }
-            }
-        } else if ver_of(m) > st.rv {
-            unlock(&st.writes[..locked], &saved_metas);
+        // SeqCst: the other side of the write-skew pair (see phase 1).
+        let m = unsafe { &*rp }.load(Ordering::SeqCst);
+        // `recorded | LOCKED` on a cell of the write set: this commit locked
+        // it, and from the recorded word.
+        let ours = m == recorded | LOCKED && st.writes.iter().any(|w| w.meta == rp);
+        if m != recorded && !ours {
+            unlock(&st.writes);
             return Err(AbortStatus::conflict());
         }
     }
 
-    // Phase 3: publish.
-    let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::Relaxed) + 1;
+    // Phase 3: publish above every old version (I1) and the clock (I2).
+    // SeqCst load: ordered after the lock CASes of phase 1 (writer half of
+    // I2). SeqCst `fetch_max`: the one clock write of a writing commit, so
+    // transactions that begin later start at or past `wv` and read these
+    // cells without extending; no ordering depends on it.
+    let clock = GLOBAL_VCLOCK.load(Ordering::SeqCst);
+    let wv = st
+        .writes
+        .iter()
+        .fold(0, |wv, w| wv.max(next_version(clock, w.saved)));
+    GLOBAL_VCLOCK.fetch_max(wv, Ordering::SeqCst);
     tick_n(Event::SharedStore, st.writes.len() as u64);
     for w in &st.writes {
         // SAFETY: we hold the cell lock; readers retry while locked.
@@ -417,16 +479,19 @@ fn commit(st: &TxState) -> Result<(), AbortStatus> {
             std::ptr::copy_nonoverlapping(w.buf.as_ptr(), w.value_ptr, w.size);
         }
         fence(Ordering::Release);
-        // SAFETY: as above.
+        // SAFETY: as above. Release: the value write happens-before any
+        // reader that observes the unlocked word.
         unsafe { &*w.meta }.store(wv << 1, Ordering::Release);
     }
     Ok(())
 }
 
-fn unlock(writes: &[WriteEntry], saved_metas: &[u64]) {
-    for (w, &m) in writes.iter().zip(saved_metas) {
-        // SAFETY: we locked these cells in `commit`.
-        unsafe { &*w.meta }.store(m, Ordering::Release);
+/// Give back the cells `commit` locked, versions untouched.
+fn unlock(locked: &[WriteEntry]) {
+    for w in locked {
+        // SAFETY: we locked these cells in `commit`. Release: as for a
+        // publish, though no value was written.
+        unsafe { &*w.meta }.store(w.saved, Ordering::Release);
     }
 }
 
@@ -480,6 +545,83 @@ mod tests {
         });
         assert_eq!(r.unwrap_err().code, AbortCode::Conflict);
         assert_eq!(a.get(), 123);
+    }
+
+    #[test]
+    fn a_store_before_the_first_read_is_not_a_conflict() {
+        // The cell is plain-stored after the transaction began, so its
+        // version is above the snapshot — but the transaction has not
+        // touched it yet. Real HTM starts tracking a line at the first
+        // access; here the snapshot is extended.
+        let a = HtmCell::new(0u64);
+        let b = HtmCell::new(0u64);
+        let r = attempt(&profile(), &mut rng(), || {
+            a.plain_store(7);
+            let x = a.get();
+            // Same again with a non-empty, untouched read set, and a write
+            // so that commit validates the recorded words as well.
+            b.plain_store(8);
+            let y = b.get();
+            b.set(x + y);
+            x + y
+        });
+        assert_eq!(r.unwrap(), 15);
+        assert_eq!((a.get(), b.get()), (7, 15));
+    }
+
+    #[test]
+    fn an_overwritten_read_aborts_at_the_extension() {
+        // `a` is overwritten after the transaction read it; the next cell
+        // it meets with a version above its snapshot forces the re-check,
+        // and that is where it dies — a read-only transaction has no commit
+        // validation to die in.
+        let a = HtmCell::new(0u64);
+        let b = HtmCell::new(0u64);
+        let past_the_read = Cell::new(false);
+        let r: Result<u64, _> = attempt(&profile(), &mut rng(), || {
+            let x = a.get();
+            a.plain_store(x + 1);
+            b.plain_store(1);
+            let y = b.get();
+            past_the_read.set(true);
+            x + y
+        });
+        assert_eq!(r.unwrap_err().code, AbortCode::Conflict);
+        assert!(!past_the_read.get(), "the abort must come from `b.get()`");
+        assert_eq!((a.get(), b.get()), (1, 1));
+    }
+
+    #[test]
+    fn extension_charges_no_virtual_time() {
+        // I4: the same body with and without an extension costs the same
+        // ticks (and draws the same numbers: the profile has none to draw).
+        use ale_vtime::Sim;
+        let run = |store_first: bool| {
+            Sim::new(Platform::testbed(), 1)
+                .run(|_| {
+                    let (a, b) = (HtmCell::new(0u64), HtmCell::new(0u64));
+                    if !store_first {
+                        // Stored and read once before the measured attempt:
+                        // that read raises the clock past the version, so
+                        // the measured attempt starts beyond it.
+                        b.plain_store(1);
+                        attempt(&profile(), &mut rng(), || b.get()).unwrap();
+                    }
+                    let before = ale_vtime::now();
+                    let r = attempt(&profile(), &mut rng(), || {
+                        let x = a.get();
+                        if store_first {
+                            b.plain_store(1);
+                        }
+                        x + b.get()
+                    });
+                    assert_eq!(r.unwrap(), 1);
+                    ale_vtime::now() - before
+                })
+                .results[0]
+        };
+        let store_cost = Platform::testbed().costs.shared_store_ns;
+        assert_eq!(run(true), run(false) + store_cost);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | `conflicting-region-balance` | `begin_conflicting_action` / `end_conflicting_action` pair up within one function, with no `return` / `?` / `break` escaping the open region |
 //! | `swopt-purity` | SWOpt (optimistic) read paths perform no writes — `store(` / `fetch_*` / `get_mut` / `lock()` — outside a conflicting-region bracket |
 //! | `htm-body-hygiene` | code passed to the HTM engine avoids `Box::new`, `Vec::push`, `println!`, `panic!`, `.unwrap()`, `.expect()` (allocation / IO / unwinding abort transactions or leak); `trace::emit(..)` spans are exempt (HTM-safe by construction) |
-//! | `ordering-discipline` | `Ordering::Relaxed` is forbidden on stores to lock words and version/publication fields |
+//! | `ordering-discipline` | `Ordering::Relaxed` is forbidden on stores and read-modify-writes (`swap`, `fetch_*`) to lock words and version/publication fields |
 //! | `swopt-purity-transitive` | a SWOpt path must not *reach* a write/alloc/lock effect through any call chain (calls made inside a conflicting-region bracket are exempt) |
 //! | `htm-body-hygiene-transitive` | a transaction body must not *reach* an alloc/IO/park effect through any call chain (`trace::emit(..)` stays exempt) |
 //! | `lock-order-cycle` | the static lock-acquisition graph (lock A held while B is acquired, directly or through calls) must be acyclic |
@@ -335,9 +335,16 @@ fn is_publication_field(name: &str) -> bool {
         || lower.ends_with("version")
 }
 
-/// `ordering-discipline`: no `Ordering::Relaxed` on stores to lock words or
-/// version/publication fields. Statistics counters (`counters.rs`) are
-/// exempt wholesale.
+/// Atomic methods that write: `store`, `swap` and the `fetch_*` family. A
+/// read-modify-write publishes just as a store does (the version clock is
+/// only ever written by `fetch_max`), so the rule covers both.
+fn is_atomic_write(method: &str) -> bool {
+    method == "store" || method == "swap" || method.starts_with("fetch_")
+}
+
+/// `ordering-discipline`: no `Ordering::Relaxed` on stores or
+/// read-modify-writes to lock words or version/publication fields.
+/// Statistics counters (`counters.rs`) are exempt wholesale.
 fn ordering_discipline(ctx: &FileCtx) -> Vec<Finding> {
     if !ctx.is_src || ctx.path.ends_with("sync/src/counters.rs") {
         return Vec::new();
@@ -345,7 +352,8 @@ fn ordering_discipline(ctx: &FileCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     for i in 1..ctx.toks.len() {
         let t = &ctx.toks[i];
-        if !(t.is_ident("store")
+        if !(t.kind == TokKind::Ident
+            && is_atomic_write(&t.text)
             && ctx.toks[i - 1].is_punct('.')
             && ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('(')))
         {
@@ -371,8 +379,9 @@ fn ordering_discipline(ctx: &FileCtx) -> Vec<Finding> {
                 "ordering-discipline",
                 t.line,
                 format!(
-                    "`Ordering::Relaxed` store to publication field `{receiver}`: \
-                     lock words and version fields must publish with Release (or stronger)"
+                    "`Ordering::Relaxed` {} on publication field `{receiver}`: \
+                     lock words and version fields must publish with Release (or stronger)",
+                    t.text
                 ),
             ));
         }

@@ -109,7 +109,7 @@ fn ordering_good_is_clean() {
 #[test]
 fn ordering_bad_flags_publication_stores() {
     let findings = lint_fixture("ordering_bad.rs", "ordering-discipline");
-    assert_eq!(findings.len(), 3, "{findings:#?}");
+    assert_eq!(findings.len(), 4, "{findings:#?}");
     for field in ["lock", "version", "GLOBAL_VCLOCK"] {
         assert!(
             findings
@@ -118,6 +118,19 @@ fn ordering_bad_flags_publication_stores() {
             "missing `{field}` finding in {findings:#?}"
         );
     }
+}
+
+#[test]
+fn ordering_bad_flags_relaxed_read_modify_writes() {
+    // The parent's `GLOBAL_VCLOCK.fetch_add(1, Relaxed)` passed a rule that
+    // only looked at `.store(..)`: an RMW publishes too.
+    let findings = lint_fixture("ordering_bad.rs", "ordering-discipline");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.message.contains("fetch_add") && f.message.contains("`GLOBAL_VCLOCK`")),
+        "missing the fetch_add finding in {findings:#?}"
+    );
 }
 
 #[test]

@@ -81,17 +81,11 @@ impl Snzi {
     }
 
     /// Arrive, increasing the surplus. Departs automatically when the
-    /// returned guard drops. The leaf is chosen from the simulated lane id
-    /// (or the OS thread) so co-located threads share a leaf.
+    /// returned guard drops. The leaf is chosen by
+    /// [`stripe_hint`](ale_vtime::stripe_hint), so neighbouring threads
+    /// share a leaf.
     pub fn arrive(&self) -> SnziGuard<'_> {
-        let hint = ale_vtime::lane_id().unwrap_or_else(|| {
-            // Hash the thread id for real-thread runs.
-            use std::hash::{Hash, Hasher};
-            let mut h = std::hash::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            h.finish() as usize
-        });
-        self.arrive_at(hint)
+        self.arrive_at(ale_vtime::stripe_hint())
     }
 
     /// Arrive at the leaf selected by `hint % leaves`.

@@ -14,6 +14,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::sched::LaneCtx;
@@ -55,7 +56,13 @@ thread_local! {
     /// costs one thread-relative load and one branch.
     static LANE_INSTALLED: Cell<bool> = const { Cell::new(false) };
     static CURRENT_LANE: RefCell<Option<Rc<LaneCtx>>> = const { RefCell::new(None) };
+    /// This OS thread's dense index for [`stripe_hint`], handed out at its
+    /// first call outside a simulation (`usize::MAX` until then).
+    static THREAD_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
 }
+
+/// Next [`THREAD_INDEX`] to hand out.
+static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
 
 /// Process-relative real-time origin used when not simulating.
 fn real_now_ns() -> u64 {
@@ -108,6 +115,29 @@ pub fn lane_id() -> Option<usize> {
     with_lane(|lane| lane.map(|l| l.id()))
 }
 
+/// "Which stripe am I": the lane id under simulation, otherwise a dense
+/// per-thread index (0, 1, 2, … in order of first call). Striped structures
+/// — SNZI leaves, slab free lists, the active-SWOpt indicator — take it
+/// modulo their stripe count; the per-thread random stream is seeded from
+/// it. One thread-relative load after the thread's first call.
+///
+/// Dense indices put neighbouring threads on neighbouring stripes, so
+/// stripes that their owners write must each sit on a cache line of their
+/// own (`ale_sync::CachePadded`).
+#[inline]
+pub fn stripe_hint() -> usize {
+    lane_id().unwrap_or_else(|| {
+        THREAD_INDEX.with(|index| {
+            if index.get() == usize::MAX {
+                // Relaxed: the counter only hands out distinct numbers;
+                // nothing is published through it.
+                index.set(NEXT_THREAD_INDEX.fetch_add(1, Ordering::Relaxed));
+            }
+            index.get()
+        })
+    })
+}
+
 /// Record one cost event. Advances the virtual clock (and possibly yields to
 /// another lane) under simulation; a no-op otherwise.
 #[inline]
@@ -142,6 +172,17 @@ mod tests {
         tick_n(Event::SharedLoad, 1000);
         let b = now();
         assert!(b >= a, "real clock must be monotonic");
+    }
+
+    #[test]
+    fn stripe_hint_is_stable_per_thread_and_distinct_across_threads() {
+        let mine = stripe_hint();
+        assert_eq!(stripe_hint(), mine);
+        let theirs = std::thread::spawn(|| (stripe_hint(), stripe_hint()))
+            .join()
+            .unwrap();
+        assert_eq!(theirs.0, theirs.1);
+        assert_ne!(theirs.0, mine);
     }
 
     #[test]

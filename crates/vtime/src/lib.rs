@@ -50,7 +50,7 @@ pub mod rng;
 pub mod sched;
 pub mod zipf;
 
-pub use clock::{is_simulated, lane_id, now, tick, tick_n, Event};
+pub use clock::{is_simulated, lane_id, now, stripe_hint, tick, tick_n, Event};
 pub use platform::{CostModel, HtmProfile, Platform, PlatformKind};
 pub use rng::Rng;
 pub use sched::{Lane, SchedStrategy, Sim, SimReport};

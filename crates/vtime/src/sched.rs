@@ -590,7 +590,7 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{is_simulated, lane_id, now, tick};
+    use crate::clock::{is_simulated, lane_id, now, stripe_hint, tick};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn testbed() -> Platform {
@@ -602,6 +602,7 @@ mod tests {
         let report = Sim::new(testbed(), 1).run(|lane| {
             assert!(is_simulated());
             assert_eq!(lane_id(), Some(0));
+            assert_eq!(stripe_hint(), 0, "a lane's stripe is its lane id");
             for _ in 0..10 {
                 tick(Event::LocalWork(100));
             }

@@ -16,6 +16,7 @@ use ale_repro::core::{
     scope, Ale, AleConfig, AleLock, AleRwLock, CsOptions, CsOutcome, ExecMode, Granule, LockMeta,
     StaticPolicy,
 };
+use ale_repro::htm::HtmCell;
 use ale_repro::sync::{RwLock, SeqVersion, SpinLock};
 use ale_repro::vtime::Platform;
 
@@ -111,6 +112,24 @@ fn htm_sections_allocate_nothing() {
     });
 }
 
+/// A transaction with a write set: commit keeps the pre-lock meta words in
+/// the write entries themselves, so locking, validating and publishing two
+/// cells allocates nothing either.
+#[test]
+fn writing_htm_sections_allocate_nothing() {
+    let ale = library(3, 8);
+    let lock = ale.new_lock("htm-writes", SpinLock::new());
+    let (a, b) = (HtmCell::new(0u64), HtmCell::new(0u64));
+    assert_steady_state_is_free("writing HTM", &[lock.meta()], || {
+        section(&lock, ExecMode::Htm, || {
+            let moved = a.get() + 1;
+            a.set(moved);
+            b.set(b.get() + moved);
+        })
+    });
+    assert!(a.get() >= STEADY as u64, "the sections' writes were lost");
+}
+
 #[test]
 fn swopt_sections_allocate_nothing() {
     let ale = library(0, 6);
@@ -136,6 +155,25 @@ fn lock_sections_allocate_nothing() {
     assert_steady_state_is_free("Lock", &[lock.meta()], || {
         empty_section(&lock, ExecMode::Lock)
     });
+}
+
+/// A mutator's section under the lock: a conflicting region (two version
+/// bumps) around plain stores, with the open-region registry that heals a
+/// panicking section in play.
+#[test]
+fn lock_sections_with_a_conflicting_region_allocate_nothing() {
+    let ale = library(0, 0);
+    let lock = ale.new_lock("lock-region", SpinLock::new());
+    let version = SeqVersion::new();
+    let cell = HtmCell::new(0u64);
+    assert_steady_state_is_free("Lock + region", &[lock.meta()], || {
+        lock.cs_plain(scope!("mutator"), CsOptions::new(), |cs| {
+            assert_eq!(cs.mode(), ExecMode::Lock);
+            version.conflicting(cs.could_swopt_be_running(), || cell.set(cell.get() + 1));
+        })
+    });
+    assert_eq!(cell.get(), (WARM_UP + STEADY) as u64);
+    assert_eq!(version.read(false) % 2, 0, "a region was left open");
 }
 
 /// The kyoto shape: a slot-lock section nested in a shared section of the
