@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use ale_bench::harness::{run_hashmap, run_sharded, HashMapWorkload, BENCH_SLACK_NS};
 use ale_bench::{run_storm, StormConfig, Variant};
-use ale_core::{scope, Ale, AleConfig, CsOptions, StatSink, StaticPolicy};
+use ale_core::{scope, Ale, AleConfig, CsOptions, StaticPolicy};
 use ale_kyoto::{
     prefill, recover, wicked_op, AleCacheDb, DbConfig, DurableCacheDb, KyotoDb, Wal, WickedConfig,
     WickedStats, RECORD_BYTES,
@@ -329,19 +329,11 @@ fn storm_section(opts: &Opts) -> String {
 /// committed numbers are deterministic: a regressed fast path moves this
 /// cell, noise cannot.
 ///
-/// The simulator normally prices statistics with the per-event Direct sink
-/// (kept solely so pinned ale-check digests stay bit-identical); the
-/// shipped fast path batches them into a stack-local delta. This cell
-/// measures what ships, so it opts the simulator into the batched sink for
-/// its duration ([`StatSink::force_batched`]) and restores the default
-/// before the next section.
-///
 /// In-binary shape gate (mirrors the sharded cell's): adaptive uncontended
 /// entry/exit must stay ≤ 2.0× the raw-mutex model.
 fn per_cs_overhead_section(opts: &Opts) -> String {
     let platform = Platform::testbed();
     let ops: u64 = if opts.quick { 2_000 } else { 10_000 };
-    StatSink::force_batched(true);
     let mut cells = Vec::new();
     let mut uncontended_ratio = f64::NAN;
     for threads in [1usize, 8] {
@@ -381,7 +373,6 @@ fn per_cs_overhead_section(opts: &Opts) -> String {
              \"raw_mutex_per_cs_ns\": {raw_ns:.2}, \"ratio\": {ratio:.4} }}"
         ));
     }
-    StatSink::force_batched(false);
     assert!(
         uncontended_ratio <= 2.0,
         "shape gate: adaptive uncontended entry/exit ({uncontended_ratio:.4}x) must stay \

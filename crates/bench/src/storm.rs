@@ -62,6 +62,13 @@ pub struct StormResult {
     pub pre_mops: f64,
     pub storm_mops: f64,
     pub post_mops: f64,
+    /// Throughput from `storm_end_ns + max_cooldown_ns` to the end (from
+    /// `storm_end_ns` for the control): a cool-down never outlasts
+    /// `max_cooldown_ns`, so by then the breaker has had its chance to
+    /// restore HTM, wherever its last jittered cool-down landed. This is
+    /// the rate the breaker promises to recover; `post_mops` also counts
+    /// the cool-down tail.
+    pub recovered_mops: f64,
     /// Breaker trips and restores over the whole run (0 for the control).
     pub trips: u64,
     pub restores: u64,
@@ -100,6 +107,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormResult {
         .scoped(scope_token),
     );
 
+    let settled_ns = cfg.storm_end_ns + cfg.breaker.as_ref().map_or(0, |b| b.max_cooldown_ns);
     let (lock_ref, cells_ref) = (&lock, &cells);
     let report = Sim::new(cfg.platform.clone(), cfg.threads)
         .with_seed(cfg.seed)
@@ -108,6 +116,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormResult {
             let mut rng = lane.rng().clone();
             let mut ops = [0u64; 3];
             let mut htm_post = 0u64;
+            let mut settled = 0u64;
             while now() < cfg.run_end_ns {
                 let mode = lock_ref.cs_plain(scope!("storm::inc"), CsOptions::new(), |cs| {
                     let c = &cells_ref[rng.gen_range(CELLS as u64) as usize];
@@ -126,19 +135,21 @@ pub fn run_storm(cfg: &StormConfig) -> StormResult {
                 if phase == 2 && mode == ExecMode::Htm {
                     htm_post += 1;
                 }
+                settled += u64::from(t >= settled_ns);
                 tick(Event::LocalWork(1 + rng.gen_range(40)));
             }
-            (ops, htm_post)
+            (ops, htm_post, settled)
         });
     ale_htm::inject::clear();
 
     let mut ops = [0u64; 3];
-    let mut post_htm_ops = 0;
-    for (lane_ops, htm_post) in &report.results {
+    let (mut post_htm_ops, mut settled_ops) = (0, 0);
+    for (lane_ops, htm_post, settled) in &report.results {
         for (total, n) in ops.iter_mut().zip(lane_ops) {
             *total += n;
         }
         post_htm_ops += htm_post;
+        settled_ops += settled;
     }
     let durations = [
         cfg.storm_start_ns,
@@ -158,6 +169,7 @@ pub fn run_storm(cfg: &StormConfig) -> StormResult {
         pre_mops: mops(0),
         storm_mops: mops(1),
         post_mops: mops(2),
+        recovered_mops: settled_ops as f64 / (cfg.run_end_ns - settled_ns) as f64 * 1_000.0,
         trips,
         restores,
         post_htm_ops,

@@ -461,12 +461,11 @@ pub fn run_once(cfg: &CheckConfig) -> RunOutcome {
             let mut violations = out.violations;
             if let Some((executions, exact)) = out.stat_parity {
                 // The stat-parity oracle: every completed critical section
-                // bumps its granule's executions counter exactly once —
-                // per-event under the simulator, via the batched exit
-                // flush otherwise — so while the counters are still in the
+                // bumps its granule's executions counter exactly once, via
+                // the exit flush, so while the counters are still in the
                 // BFP exact regime the totals must agree. A flush that
-                // drops its delta (the `StatBatchLost` mutation)
-                // shows up here.
+                // drops its delta (the `StatBatchLost` mutation) shows up
+                // here.
                 let completed = completes.load(Ordering::Relaxed);
                 if exact && executions != completed {
                     violations.push(format!(

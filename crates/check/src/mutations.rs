@@ -187,7 +187,7 @@ pub static MUTATIONS: [Lane; 13] = [
     Lane {
         mutation: Mutation::StatBatchLost,
         name: "mut-stat-batch-lost",
-        bug: "the batched statistics flush drops its executions delta",
+        bug: "the statistics flush drops its executions delta",
         workload: Workload::HashMap,
         arm: Arm::Nothing,
         oracle: "stat parity oracle",

@@ -1,4 +1,14 @@
 //! The paper's chained HashMap: SWOpt readers vs Lock-mode mutators.
+//!
+//! Lane 0 (with two or more lanes) is the *rotator*: it only rotates one
+//! pair of its keys — remove the live one, insert the other, which re-pops
+//! the node the remove just freed — and publishes which key its next
+//! rotation removes. The other lanes run the mixed op stream and look that
+//! key up before every op. A reader that copies the key's value after its
+//! last validation while the rotator recycles the node reads a value with
+//! the wrong key in it: the window a skipped validation leaves open.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ale_core::{Ale, AleConfig, StaticPolicy};
 use ale_hashmap::{AleHashMap, MapConfig};
@@ -30,12 +40,40 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
     let violations = Violations::new();
     let v = &violations;
     let map_ref = &map;
+    // The rotator's live key (0 until its first rotation). Workload
+    // bookkeeping, not simulated memory: it only steers which key the
+    // readers look up.
+    let next_removed = AtomicU64::new(0);
+    let next_removed = &next_removed;
     let report = sim_for(cfg).run(|lane| {
         let id = lane.id();
         let mut rng = lane_rng(cfg, id);
         let mut shadow = KvShadow::new();
         let threads = cfg.threads as u64;
+        if id == ROTATOR && threads > 1 {
+            for _ in 0..cfg.ops {
+                let j = usize::from(!shadow.present[0]);
+                let key2 = rotate(map_ref, &mut shadow, v, id, j, 1 - j);
+                next_removed.store(key2, Ordering::Relaxed);
+                // Weight-free ticks take this lane's conflict score to 0.
+                // The most-conflicting scheduler then runs every other
+                // lane first, so this lane's clock is the eligibility
+                // window's floor: the readers run up to the window's top
+                // and park at whatever tick lands there — between a
+                // reader's last validation and its value read, too —
+                // while this lane, alone below them, runs its next
+                // rotation of the key they were reading.
+                for _ in 0..8 {
+                    tick(Event::LocalWork(1));
+                }
+            }
+            return shadow;
+        }
         for _ in 0..cfg.ops {
+            let hot = next_removed.load(Ordering::Relaxed);
+            if hot != 0 {
+                get_checked(map_ref, v, hot);
+            }
             match rng.gen_range(10) {
                 0..=4 => {
                     // Read a random key: a stable one or any lane's churn key.
@@ -47,21 +85,16 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
                             rng.gen_range(CHURN_PER_LANE as u64) as usize,
                         )
                     };
-                    let mut val = 0u64;
-                    let found = map_ref.get(key, &mut val);
-                    if found && !integrity_ok(key, val) {
-                        v.record(format!(
-                            "hashmap: get({key:#x}) returned value {val:#x} belonging to key {:#x}",
-                            val & 0xFFFF
-                        ));
-                    }
+                    let found = get_checked(map_ref, v, key);
                     if STABLE_KEYS.contains(&key) {
-                        if !found {
-                            v.record(format!("hashmap: stable key {key:#x} reported absent"));
-                        } else if val != encode(key, 0) {
-                            v.record(format!(
+                        match found {
+                            None => {
+                                v.record(format!("hashmap: stable key {key:#x} reported absent"))
+                            }
+                            Some(val) if val != encode(key, 0) => v.record(format!(
                                 "hashmap: stable key {key:#x} value changed to {val:#x}"
-                            ));
+                            )),
+                            Some(_) => {}
                         }
                     }
                 }
@@ -101,33 +134,8 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
                     }
                 }
                 8 => {
-                    // Rotate: remove one of our keys and immediately insert a
-                    // *different* one. The freed slab node lands on this
-                    // lane's free stripe and the very next alloc pops it, so
-                    // the node is recycled under a new key within a few ticks
-                    // of the unlink — the shortest possible reuse distance,
-                    // and the schedule a skipped version bump or a skipped
-                    // reader validation cannot survive.
                     let j = rng.gen_range(CHURN_PER_LANE as u64) as usize;
-                    let key = churn_key(id, j);
-                    let was = map_ref.remove(key);
-                    if was != shadow.remove(j) {
-                        v.record(format!(
-                            "hashmap: remove({key:#x}) returned {was} but shadow says present={}",
-                            !was
-                        ));
-                    }
-                    let j2 = (j + 1) % CHURN_PER_LANE;
-                    let key2 = churn_key(id, j2);
-                    let expect_newly = !shadow.present[j2];
-                    let val2 = encode(key2, shadow.generation[j2] + 1);
-                    shadow.insert(j2, val2);
-                    let newly = map_ref.insert(key2, val2);
-                    if newly != expect_newly {
-                        v.record(format!(
-                            "hashmap: insert({key2:#x}) returned newly={newly} but shadow says newly={expect_newly}"
-                        ));
-                    }
+                    rotate(map_ref, &mut shadow, v, id, j, (j + 1) % CHURN_PER_LANE);
                 }
                 _ => tick(Event::LocalWork(1 + rng.gen_range(300))),
             }
@@ -185,4 +193,54 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
         stat_parity: Some(super::granule_stat_parity(&ale)),
         ..Default::default()
     }
+}
+
+/// The lane that only rotates (see the module docs).
+const ROTATOR: usize = 0;
+
+/// Look `key` up, recording a value that carries another key's bits.
+fn get_checked(map: &AleHashMap<u64>, v: &Violations, key: u64) -> Option<u64> {
+    let mut val = 0u64;
+    let found = map.get(key, &mut val).then_some(val);
+    if found.is_some_and(|val| !integrity_ok(key, val)) {
+        v.record(format!(
+            "hashmap: get({key:#x}) returned value {val:#x} belonging to key {:#x}",
+            val & 0xFFFF
+        ));
+    }
+    found
+}
+
+/// Remove our key `j`, then insert our key `j2`, and return `j2`'s key. The
+/// freed slab node lands on this lane's free stripe and the very next alloc
+/// pops it, so the node is recycled under a new key within a few ticks of
+/// the unlink — the shortest possible reuse distance, and the schedule a
+/// skipped version bump or a skipped reader validation cannot survive.
+fn rotate(
+    map: &AleHashMap<u64>,
+    shadow: &mut KvShadow,
+    v: &Violations,
+    id: usize,
+    j: usize,
+    j2: usize,
+) -> u64 {
+    let key = churn_key(id, j);
+    let was = map.remove(key);
+    if was != shadow.remove(j) {
+        v.record(format!(
+            "hashmap: remove({key:#x}) returned {was} but shadow says present={}",
+            !was
+        ));
+    }
+    let key2 = churn_key(id, j2);
+    let expect_newly = !shadow.present[j2];
+    let val2 = encode(key2, shadow.generation[j2] + 1);
+    shadow.insert(j2, val2);
+    let newly = map.insert(key2, val2);
+    if newly != expect_newly {
+        v.record(format!(
+            "hashmap: insert({key2:#x}) returned newly={newly} but shadow says newly={expect_newly}"
+        ));
+    }
+    key2
 }

@@ -19,17 +19,20 @@ use ale_check::{run_once, CheckConfig, StrategyKind, Workload};
 
 /// The pinned scenario-pack digests: (workload, digest).
 ///
-/// Queue, Transfer and Nested were re-blessed once in PR 15 (DESIGN.md
-/// §5.2 has the protocol and the old values): a transaction no longer
-/// aborts on a cell that was plain-stored between its begin and its first
-/// read of it, so their HTM attempts abort at different points. The other
-/// two and every `SHARD_PINNED` digest did not move.
+/// Re-blessed under DESIGN.md §5.2, which lists every old value:
+/// * PR 15 moved Queue, Transfer and Nested: a transaction no longer
+///   aborts on a cell that was plain-stored between its begin and its
+///   first read of it.
+/// * PR 25 moved all five here and all five `SHARD_PINNED`: the simulator
+///   now records statistics on the shipped path (a stack delta flushed
+///   when the section ends, no tick), so the `tick(Event::Cas)` each
+///   recorded event used to pay — a scheduler yield point — is gone.
 const PINNED: [(Workload, u64); 5] = [
-    (Workload::Ttl, 0x8785_09cf_1f94_368f),
-    (Workload::Queue, 0xd008_6cfb_376f_ff64),
-    (Workload::Transfer, 0xb40f_002c_48eb_545c),
-    (Workload::Registry, 0x1659_16f6_5014_8f81),
-    (Workload::Nested, 0x0070_328f_5be3_e9f1),
+    (Workload::Ttl, 0x413a_e78d_0ac6_6822),
+    (Workload::Queue, 0x2d14_ab8c_9a60_08cd),
+    (Workload::Transfer, 0xd97a_046b_883e_7db5),
+    (Workload::Registry, 0x818a_5846_c58e_2ff1),
+    (Workload::Nested, 0xa4bc_deae_a43a_870e),
 ];
 
 /// The sharded-map workload pinned under *every* strategy: its op stream
@@ -37,11 +40,11 @@ const PINNED: [(Workload, u64); 5] = [
 /// driver, so a drift here also invalidates every `--workload shard`
 /// replay file (including the `zipf_milli`/`shards` keys they carry).
 const SHARD_PINNED: [(StrategyKind, u64); 5] = [
-    (StrategyKind::LowestClock, 0x2578_e58d_a364_e8fa),
-    (StrategyKind::RandomWalk, 0xd518_95d2_e380_c42c),
-    (StrategyKind::Preempt, 0xa4f2_208d_0832_613b),
-    (StrategyKind::MostConflicting, 0x21fb_057d_1356_f8a3),
-    (StrategyKind::Reorder, 0x67e1_678c_27c6_7b93),
+    (StrategyKind::LowestClock, 0xc5cd_6dba_01e5_83aa),
+    (StrategyKind::RandomWalk, 0x000d_da34_ee68_2aa4),
+    (StrategyKind::Preempt, 0x8caa_90c2_960e_7d5b),
+    (StrategyKind::MostConflicting, 0xe0fd_516d_3196_6cfc),
+    (StrategyKind::Reorder, 0xfd11_cdc1_cdaf_1b0a),
 ];
 
 fn pinned_config(workload: Workload) -> CheckConfig {

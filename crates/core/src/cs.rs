@@ -232,22 +232,6 @@ fn hold_satisfies(held: HeldKind, required: HeldKind) -> bool {
     }
 }
 
-/// Flush-on-drop guard for the statistics sink: in batched (real-mode)
-/// executions the shared counters see at most one `add` per nonzero field
-/// when the critical section exits — normally or by panic — instead of
-/// one CAS per event mid-section. In direct (simulated) executions every
-/// event was already published at record time and the drop is a no-op, so
-/// the guard's position in the unwind is invisible to the simulator.
-struct StatFlushGuard<'a> {
-    sink: StatSink<'a>,
-}
-
-impl Drop for StatFlushGuard<'_> {
-    fn drop(&mut self) {
-        self.sink.flush();
-    }
-}
-
 /// Release-on-drop guard so Lock mode unwinds cleanly.
 struct ReleaseGuard<'a, O: LockOps + ?Sized> {
     t: &'a CsThread,
@@ -377,9 +361,9 @@ fn run_cs<T, O: LockOps + ?Sized>(
     let exec_start = measure.then(now);
 
     let mut rec = ExecRecord::new();
-    let mut flush = StatFlushGuard {
-        sink: StatSink::new(&granule.stats),
-    };
+    // Flushes when dropped: below on completion, or by a panicking body's
+    // unwind.
+    let mut sink = StatSink::new(&granule.stats);
     let value = run_protocol(
         t,
         ale,
@@ -395,11 +379,11 @@ fn run_cs<T, O: LockOps + ?Sized>(
         measure,
         lock_key,
         &mut rec,
-        &mut flush.sink,
+        &mut sink,
     );
 
-    flush.sink.record_execution(&mut rng);
-    drop(flush);
+    sink.record_execution();
+    drop(sink);
     if let Some(start) = exec_start {
         let total = now().saturating_sub(start);
         granule.stats.exec_time.add_duration(total);
@@ -456,7 +440,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
             }
 
             rec.htm_attempts += 1;
-            sink.record_attempt(ExecMode::Htm, rng);
+            sink.record_attempt(ExecMode::Htm);
             emit(CsEvent::Attempt {
                 lock: meta.label(),
                 mode: ExecMode::Htm,
@@ -521,7 +505,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                             emit(CsEvent::BreakerRestore { lock: meta.label() });
                         }
                     }
-                    sink.record_success(ExecMode::Htm, rng);
+                    sink.record_success(ExecMode::Htm);
                     if let Some(t0) = t0 {
                         granule.stats.success_time[ExecMode::Htm.index()]
                             .add_duration(now().saturating_sub(t0));
@@ -574,13 +558,13 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                     let lock_held = status.code.is_lock_held()
                         || (status.code == AbortCode::Conflict && ops.is_conflicting_locked());
                     if lock_held {
-                        sink.record_lock_held_abort(rng);
+                        sink.record_lock_held_abort();
                         rec.lock_held_aborts += 1;
                         budget = budget.saturating_sub(1);
                     } else {
                         match status.code {
                             AbortCode::Capacity => {
-                                sink.record_capacity_abort(rng);
+                                sink.record_capacity_abort();
                                 rec.capacity_abort = true;
                                 budget = 0; // retrying cannot help
                             }
@@ -604,11 +588,11 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                                 budget = 0;
                             }
                             AbortCode::Conflict => {
-                                sink.record_conflict_abort(rng);
+                                sink.record_conflict_abort();
                                 budget = budget.saturating_sub(LOCK_HELD_WEIGHT);
                             }
                             _ => {
-                                sink.record_spurious_abort(rng);
+                                sink.record_spurious_abort();
                                 budget = budget.saturating_sub(LOCK_HELD_WEIGHT);
                             }
                         }
@@ -654,7 +638,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
         let mut backoff = Backoff::with_max_exp(6);
         for _ in 0..plan.swopt_attempts {
             rec.swopt_attempts += 1;
-            sink.record_attempt(ExecMode::SwOpt, rng);
+            sink.record_attempt(ExecMode::SwOpt);
             emit(CsEvent::Attempt {
                 lock: meta.label(),
                 mode: ExecMode::SwOpt,
@@ -687,7 +671,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
             };
             match outcome {
                 CsOutcome::Done(v) => {
-                    sink.record_success(ExecMode::SwOpt, rng);
+                    sink.record_success(ExecMode::SwOpt);
                     if let Some(t0) = t0 {
                         granule.stats.success_time[ExecMode::SwOpt.index()]
                             .add_duration(now().saturating_sub(t0));
@@ -707,7 +691,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                     return v;
                 }
                 CsOutcome::SwOptFail => {
-                    sink.record_swopt_fail(rng);
+                    sink.record_swopt_fail();
                     emit(CsEvent::SwOptFail { lock: meta.label() });
                     if use_grouping && retry_guard.is_none() {
                         // Announce "SWOpt retrying" so conflicting
@@ -719,7 +703,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                 CsOutcome::SwOptSelfAbort => {
                     // Self abort (§3.3): stop optimistic attempts and fall
                     // through to Lock mode immediately.
-                    sink.record_swopt_fail(rng);
+                    sink.record_swopt_fail();
                     emit(CsEvent::SwOptFail { lock: meta.label() });
                     break;
                 }
@@ -731,7 +715,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
     if opts.conflicting && use_grouping && defer_now(ale, rng) {
         meta.grouping.wait_for_swopt_retries();
     }
-    sink.record_attempt(ExecMode::Lock, rng);
+    sink.record_attempt(ExecMode::Lock);
     emit(CsEvent::Attempt {
         lock: meta.label(),
         mode: ExecMode::Lock,
@@ -796,7 +780,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
     };
     match outcome {
         CsOutcome::Done(v) => {
-            sink.record_success(ExecMode::Lock, rng);
+            sink.record_success(ExecMode::Lock);
             if let Some(t0) = t0 {
                 granule.stats.success_time[ExecMode::Lock.index()]
                     .add_duration(now().saturating_sub(t0));

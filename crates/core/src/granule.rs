@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ale_htm::{mutated, BreakerConfig, Mutation, StormBreaker};
 use ale_sync::{CachePadded, SampledTime, StatCounter, TickMutex};
-use ale_vtime::{tick, Event, Rng};
+use ale_vtime::{tick, Event};
 
 use crate::mode::ExecMode;
 use crate::policy::{AttemptPlan, ModeCaps};
@@ -56,47 +56,6 @@ pub struct GranuleStats {
 }
 
 impl GranuleStats {
-    pub fn record_attempt(&self, mode: ExecMode, rng: &mut Rng) {
-        self.attempts[mode.index()].inc(rng);
-    }
-
-    pub fn record_success(&self, mode: ExecMode, rng: &mut Rng) {
-        self.successes[mode.index()].inc(rng);
-    }
-
-    /// Fold a batched per-execution delta in: at most one shared update per
-    /// nonzero field, instead of one per recorded event, and one rounding
-    /// draw for the whole flush (each counter takes its own rotation of
-    /// it). Tick- and RNG-free; the batched path only runs outside the
-    /// simulator (see [`StatSink`]), so no virtual-time schedule ever
-    /// depends on it.
-    pub fn apply_delta(&self, d: &StatDelta) {
-        // Self-test mutation (`StatBatchLost`): the flush silently drops
-        // the batched executions delta — completed critical sections vanish
-        // from the statistics. The stat-parity oracle (executions count vs
-        // observed completions) must catch this.
-        let executions = if mutated(Mutation::StatBatchLost) {
-            0
-        } else {
-            d.executions
-        };
-        let mut draw = ale_sync::fold_draw();
-        let mut fold = |counter: &StatCounter, n: u32| {
-            counter.add_drawn(n as u64, draw);
-            draw = draw.rotate_left(5);
-        };
-        fold(&self.executions, executions);
-        for i in 0..3 {
-            fold(&self.attempts[i], d.attempts[i]);
-            fold(&self.successes[i], d.successes[i]);
-        }
-        fold(&self.lock_held_aborts, d.lock_held_aborts);
-        fold(&self.conflict_aborts, d.conflict_aborts);
-        fold(&self.capacity_aborts, d.capacity_aborts);
-        fold(&self.spurious_aborts, d.spurious_aborts);
-        fold(&self.swopt_fails, d.swopt_fails);
-    }
-
     /// Clear all recorded statistics (used with `Ale::reset_statistics`).
     pub fn reset(&self) {
         self.executions.reset();
@@ -124,27 +83,51 @@ impl GranuleStats {
     }
 }
 
-/// Stack-local batch of statistic events for one critical-section
-/// execution — the batched arm of [`StatSink`]. The driver bumps plain
-/// `u32` fields (a register increment, no shared cache line, no tick, no
-/// RNG) and the exit flush folds each nonzero field into the shared
-/// [`GranuleStats`] counters with a single [`StatCounter::add`]
-/// (normal exit or panic). Only selected where `tick` is a no-op — real
-/// hardware, or the forced-batch self-test mutation — so recording has no
-/// simulator side effects at all.
+/// One critical-section execution's statistic events, counted in plain
+/// `u32` fields on the driver's stack (a register increment: no shared
+/// cache line, no tick, no RNG).
 #[derive(Debug, Default)]
-pub struct StatDelta {
-    pub executions: u32,
-    pub attempts: [u32; 3],
-    pub successes: [u32; 3],
-    pub lock_held_aborts: u32,
-    pub conflict_aborts: u32,
-    pub capacity_aborts: u32,
-    pub spurious_aborts: u32,
-    pub swopt_fails: u32,
+struct StatDelta {
+    executions: u32,
+    attempts: [u32; 3],
+    successes: [u32; 3],
+    lock_held_aborts: u32,
+    conflict_aborts: u32,
+    capacity_aborts: u32,
+    spurious_aborts: u32,
+    swopt_fails: u32,
 }
 
-impl StatDelta {
+/// Where the critical-section driver records statistic events — the one
+/// statistics path, under the simulator and on real threads alike.
+///
+/// Events bump a stack-local delta; dropping the sink (normal exit or
+/// unwind) folds each nonzero field into the shared [`GranuleStats`]
+/// counter with one [`StatCounter::add_drawn`], all rounding from one
+/// [`fold_draw`](ale_sync::fold_draw). The flush is tick- and
+/// RNG-free: recording statistics adds no yield point and draws nothing
+/// from the lane's stream (DESIGN.md §14).
+#[derive(Debug)]
+pub struct StatSink<'a> {
+    stats: &'a GranuleStats,
+    delta: StatDelta,
+}
+
+impl<'a> StatSink<'a> {
+    /// Does nothing: there is one statistics path now.
+    /// `benchmark/src/cells.rs:219,229` still calls it; the follow-up
+    /// `[benchmark]` PR of ROADMAP item 2a deletes both calls and this fn.
+    #[doc(hidden)]
+    pub fn force_batched(_on: bool) {}
+
+    #[inline]
+    pub fn new(stats: &'a GranuleStats) -> Self {
+        StatSink {
+            stats,
+            delta: StatDelta::default(),
+        }
+    }
+
     #[inline]
     fn bump(v: &mut u32) {
         *v = v.saturating_add(1);
@@ -152,180 +135,75 @@ impl StatDelta {
 
     #[inline]
     pub fn record_execution(&mut self) {
-        Self::bump(&mut self.executions);
+        Self::bump(&mut self.delta.executions);
     }
 
     #[inline]
     pub fn record_attempt(&mut self, mode: ExecMode) {
-        Self::bump(&mut self.attempts[mode.index()]);
+        Self::bump(&mut self.delta.attempts[mode.index()]);
     }
 
     #[inline]
     pub fn record_success(&mut self, mode: ExecMode) {
-        Self::bump(&mut self.successes[mode.index()]);
+        Self::bump(&mut self.delta.successes[mode.index()]);
     }
 
     #[inline]
     pub fn record_lock_held_abort(&mut self) {
-        Self::bump(&mut self.lock_held_aborts);
+        Self::bump(&mut self.delta.lock_held_aborts);
     }
 
     #[inline]
     pub fn record_conflict_abort(&mut self) {
-        Self::bump(&mut self.conflict_aborts);
+        Self::bump(&mut self.delta.conflict_aborts);
     }
 
     #[inline]
     pub fn record_capacity_abort(&mut self) {
-        Self::bump(&mut self.capacity_aborts);
+        Self::bump(&mut self.delta.capacity_aborts);
     }
 
     #[inline]
     pub fn record_spurious_abort(&mut self) {
-        Self::bump(&mut self.spurious_aborts);
+        Self::bump(&mut self.delta.spurious_aborts);
     }
 
     #[inline]
     pub fn record_swopt_fail(&mut self) {
-        Self::bump(&mut self.swopt_fails);
+        Self::bump(&mut self.delta.swopt_fails);
     }
 }
 
-/// Where the critical-section driver records statistic events.
-///
-/// * **Direct** — one shared [`StatCounter::inc`] per event, the legacy
-///   path, selected under the deterministic simulator. `inc`'s tick inside
-///   its CAS loop is a scheduler yield point, and a contended retry ticks
-///   again (plus a backoff tick), so the *number* of ticks depends on
-///   cross-lane timing. Batching those events would delete yield points
-///   and shift every simulated schedule — pinned ale-check digests would
-///   drift. Keeping the per-event path under sim makes same-seed digest
-///   bit-identity hold by construction.
-/// * **Batched** — events bump a stack-local [`StatDelta`] and the exit
-///   flush publishes the whole batch with one [`StatCounter::add`] per
-///   nonzero field. Selected on real hardware, where `tick` is a no-op
-///   and eliminating the per-event shared CAS is the entire win.
-///
-/// The `StatBatchLost` self-test mutation forces the batched path
-/// even under simulation so ale-check can exercise the flush and prove
-/// the stat-parity oracle notices a dropped executions delta.
-#[derive(Debug)]
-pub enum StatSink<'a> {
-    Direct {
-        stats: &'a GranuleStats,
-    },
-    Batched {
-        stats: &'a GranuleStats,
-        delta: StatDelta,
-    },
-}
-
-/// Bench-only override: when set, simulated lanes also use the batched
-/// sink (see [`StatSink::force_batched`]).
-static FORCE_BATCHED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-impl<'a> StatSink<'a> {
-    /// Opt simulated lanes into the **batched** sink, process-wide.
-    ///
-    /// The Direct arm exists purely to keep pinned ale-check digests
-    /// bit-identical; it charges one `tick(Event::Cas)` per recorded event
-    /// that the shipped (real-hardware) fast path no longer pays.
-    /// Benchmarks that want the simulator to price the *shipped* path —
-    /// e.g. the `per_cs_overhead` trajectory cell — set this around their
-    /// measurement and restore it after. ale-check must never set it:
-    /// batching deletes yield points and would drift every pinned digest.
-    pub fn force_batched(on: bool) {
-        FORCE_BATCHED.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Pick the arm for this execution: batched wherever ticks are no-ops
-    /// (outside a simulated lane), per-event under the simulator.
-    #[inline]
-    pub fn new(stats: &'a GranuleStats) -> Self {
-        if mutated(Mutation::StatBatchLost)
-            || !ale_vtime::is_simulated()
-            || FORCE_BATCHED.load(std::sync::atomic::Ordering::Relaxed)
-        {
-            StatSink::Batched {
-                stats,
-                delta: StatDelta::default(),
-            }
+impl Drop for StatSink<'_> {
+    /// The flush: at most one shared update per nonzero field, and one
+    /// rounding draw for the whole flush (each counter takes its own
+    /// rotation of it).
+    fn drop(&mut self) {
+        let (s, d) = (self.stats, &self.delta);
+        // Self-test mutation (`StatBatchLost`): the flush silently drops
+        // the executions delta — completed critical sections vanish from
+        // the statistics. The stat-parity oracle (executions count vs
+        // observed completions) must catch this.
+        let executions = if mutated(Mutation::StatBatchLost) {
+            0
         } else {
-            StatSink::Direct { stats }
+            d.executions
+        };
+        let mut draw = ale_sync::fold_draw();
+        let mut fold = |counter: &StatCounter, n: u32| {
+            counter.add_drawn(n as u64, draw);
+            draw = draw.rotate_left(5);
+        };
+        fold(&s.executions, executions);
+        for i in 0..3 {
+            fold(&s.attempts[i], d.attempts[i]);
+            fold(&s.successes[i], d.successes[i]);
         }
-    }
-
-    #[inline]
-    pub fn record_execution(&mut self, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.executions.inc(rng),
-            StatSink::Batched { delta, .. } => delta.record_execution(),
-        }
-    }
-
-    #[inline]
-    pub fn record_attempt(&mut self, mode: ExecMode, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.record_attempt(mode, rng),
-            StatSink::Batched { delta, .. } => delta.record_attempt(mode),
-        }
-    }
-
-    #[inline]
-    pub fn record_success(&mut self, mode: ExecMode, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.record_success(mode, rng),
-            StatSink::Batched { delta, .. } => delta.record_success(mode),
-        }
-    }
-
-    #[inline]
-    pub fn record_lock_held_abort(&mut self, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.lock_held_aborts.inc(rng),
-            StatSink::Batched { delta, .. } => delta.record_lock_held_abort(),
-        }
-    }
-
-    #[inline]
-    pub fn record_conflict_abort(&mut self, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.conflict_aborts.inc(rng),
-            StatSink::Batched { delta, .. } => delta.record_conflict_abort(),
-        }
-    }
-
-    #[inline]
-    pub fn record_capacity_abort(&mut self, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.capacity_aborts.inc(rng),
-            StatSink::Batched { delta, .. } => delta.record_capacity_abort(),
-        }
-    }
-
-    #[inline]
-    pub fn record_spurious_abort(&mut self, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.spurious_aborts.inc(rng),
-            StatSink::Batched { delta, .. } => delta.record_spurious_abort(),
-        }
-    }
-
-    #[inline]
-    pub fn record_swopt_fail(&mut self, rng: &mut Rng) {
-        match self {
-            StatSink::Direct { stats } => stats.swopt_fails.inc(rng),
-            StatSink::Batched { delta, .. } => delta.record_swopt_fail(),
-        }
-    }
-
-    /// Publish any pending batched delta to the shared counters and clear
-    /// it. Direct mode has nothing pending.
-    pub fn flush(&mut self) {
-        if let StatSink::Batched { stats, delta } = self {
-            stats.apply_delta(delta);
-            *delta = StatDelta::default();
-        }
+        fold(&s.lock_held_aborts, d.lock_held_aborts);
+        fold(&s.conflict_aborts, d.conflict_aborts);
+        fold(&s.capacity_aborts, d.capacity_aborts);
+        fold(&s.spurious_aborts, d.spurious_aborts);
+        fold(&s.swopt_fails, d.swopt_fails);
     }
 }
 
@@ -661,14 +539,15 @@ mod tests {
     #[test]
     fn stats_record_and_ratio() {
         let s = GranuleStats::default();
-        let mut rng = Rng::new(1);
         assert_eq!(s.success_ratio(ExecMode::Htm), None);
+        let mut sink = StatSink::new(&s);
         for _ in 0..10 {
-            s.record_attempt(ExecMode::Htm, &mut rng);
+            sink.record_attempt(ExecMode::Htm);
         }
         for _ in 0..7 {
-            s.record_success(ExecMode::Htm, &mut rng);
+            sink.record_success(ExecMode::Htm);
         }
+        drop(sink);
         let r = s.success_ratio(ExecMode::Htm).unwrap();
         assert!((r - 0.7).abs() < 1e-9, "{r}");
         assert_eq!(s.success_ratio(ExecMode::SwOpt), None);
@@ -749,76 +628,49 @@ mod tests {
     }
 
     #[test]
-    fn stat_delta_flush_matches_per_event_totals() {
-        let batched = GranuleStats::default();
-        let reference = GranuleStats::default();
-        let mut rng = Rng::new(5);
-        let mut d = StatDelta::default();
+    fn stat_sink_publishes_exact_totals_on_drop() {
+        let s = GranuleStats::default();
+        let mut sink = StatSink::new(&s);
         for _ in 0..9 {
-            d.record_attempt(ExecMode::Htm);
-            reference.record_attempt(ExecMode::Htm, &mut rng);
+            sink.record_attempt(ExecMode::Htm);
         }
         for _ in 0..4 {
-            d.record_success(ExecMode::SwOpt);
-            reference.record_success(ExecMode::SwOpt, &mut rng);
+            sink.record_success(ExecMode::SwOpt);
         }
-        d.record_execution();
-        reference.executions.inc(&mut rng);
-        d.record_conflict_abort();
-        reference.conflict_aborts.inc(&mut rng);
-        d.record_swopt_fail();
-        reference.swopt_fails.inc(&mut rng);
-        batched.apply_delta(&d);
-        assert_eq!(batched.executions.read(), reference.executions.read());
-        for i in 0..3 {
-            assert_eq!(batched.attempts[i].read(), reference.attempts[i].read());
-            assert_eq!(batched.successes[i].read(), reference.successes[i].read());
-        }
-        assert_eq!(
-            batched.conflict_aborts.read(),
-            reference.conflict_aborts.read()
-        );
-        assert_eq!(batched.swopt_fails.read(), reference.swopt_fails.read());
-        // Flushing a default (all-zero) delta is free and exact.
-        batched.apply_delta(&StatDelta::default());
-        assert_eq!(batched.executions.read(), reference.executions.read());
+        sink.record_execution();
+        sink.record_conflict_abort();
+        sink.record_swopt_fail();
+        assert_eq!(s.executions.read(), 0, "nothing is shared before the flush");
+        drop(sink);
+        assert_eq!(s.executions.read(), 1);
+        assert_eq!(s.attempts[ExecMode::Htm.index()].read(), 9);
+        assert_eq!(s.successes[ExecMode::SwOpt.index()].read(), 4);
+        assert_eq!(s.conflict_aborts.read(), 1);
+        assert_eq!(s.swopt_fails.read(), 1);
+        assert_eq!(s.spurious_aborts.read(), 0);
+        // A sink that recorded nothing publishes nothing.
+        drop(StatSink::new(&s));
+        assert_eq!(s.executions.read(), 1);
+        assert_eq!(s.attempts[ExecMode::Htm.index()].read(), 9);
     }
 
+    /// A body that panics mid-section still leaves its attempts in the
+    /// granule: the sink flushes as the unwind drops it.
     #[test]
-    fn stat_sink_arms_agree_on_totals() {
-        let direct_stats = GranuleStats::default();
-        let batched_stats = GranuleStats::default();
-        let mut rng = Rng::new(9);
-        let mut direct = StatSink::Direct {
-            stats: &direct_stats,
-        };
-        let mut batched = StatSink::Batched {
-            stats: &batched_stats,
-            delta: StatDelta::default(),
-        };
-        for sink in [&mut direct, &mut batched] {
-            for _ in 0..6 {
-                sink.record_attempt(ExecMode::Htm, &mut rng);
-            }
-            sink.record_conflict_abort(&mut rng);
-            sink.record_success(ExecMode::Htm, &mut rng);
-            sink.record_execution(&mut rng);
-            sink.flush();
-            sink.flush(); // idempotent: the delta cleared on first flush
-        }
-        assert_eq!(
-            direct_stats.attempts[ExecMode::Htm.index()].read(),
-            batched_stats.attempts[ExecMode::Htm.index()].read()
-        );
-        assert_eq!(
-            direct_stats.conflict_aborts.read(),
-            batched_stats.conflict_aborts.read()
-        );
-        assert_eq!(
-            direct_stats.executions.read(),
-            batched_stats.executions.read()
-        );
-        assert_eq!(batched_stats.executions.read(), 1);
+    fn stat_sink_dropped_by_an_unwind_publishes_its_delta() {
+        let s = GranuleStats::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut sink = StatSink::new(&s);
+            sink.record_attempt(ExecMode::Htm);
+            sink.record_conflict_abort();
+            sink.record_attempt(ExecMode::Lock);
+            panic!("body panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(s.attempts[ExecMode::Htm.index()].read(), 1);
+        assert_eq!(s.attempts[ExecMode::Lock.index()].read(), 1);
+        assert_eq!(s.conflict_aborts.read(), 1);
+        assert_eq!(s.executions.read(), 0, "the section never completed");
     }
 
     #[test]

@@ -74,11 +74,10 @@ impl Backoff {
             }
             None => self.exp,
         };
+        // The virtual cost; under the simulator the real wait below only
+        // costs wall time.
         tick(Event::Backoff(charged));
-        if ale_vtime::is_simulated() {
-            // Virtual cost above is what matters; a token pause suffices.
-            std::hint::spin_loop();
-        } else if charged >= 3 {
+        if charged >= 3 {
             // Real threads on few (possibly one) CPUs: give the lock holder
             // a chance to run instead of burning the whole timeslice.
             std::thread::yield_now();

@@ -38,22 +38,30 @@ fn unpack(word: u64) -> (u64, u64) {
 }
 
 thread_local! {
-    /// Step counter of [`fold_draw`].
+    /// Position in [`fold_draw`]'s stream; 0 = not started.
     static FOLD_STATE: Cell<u64> = const { Cell::new(0) };
 }
 
 /// 64 random bits for [`StatCounter::add`]'s rounding: a SplitMix64 step on
-/// a thread-local counter, keyed by the counter's own address so concurrent
-/// flushers do not round in lockstep. Deliberately not the lane's [`Rng`]:
-/// `add` has no `rng` parameter, and its draws must not perturb simulated
-/// streams. Public so a flush of several counters can take one draw and
-/// hand each [`StatCounter::add_drawn`] its own rotation of it.
+/// a thread-local Weyl sequence whose start is keyed by the thread's
+/// [`stripe_hint`](ale_vtime::stripe_hint), so concurrent flushers do not
+/// round in lockstep. Under the simulator that key is the lane id and each
+/// lane is a fresh thread, so the draws — and every count above the exact
+/// regime — replay bit for bit (an address key did not: ASLR moved it).
+/// Deliberately not the lane's [`Rng`]: `add` has no `rng` parameter, and
+/// its draws must not perturb simulated streams. Public so a flush of
+/// several counters can take one draw and hand each
+/// [`StatCounter::add_drawn`] its own rotation of it.
 #[inline]
 pub fn fold_draw() -> u64 {
     FOLD_STATE.with(|s| {
-        let x = s.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = s.get();
+        if x == 0 {
+            // The thread's first draw.
+            x = (ale_vtime::stripe_hint() as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
+        }
+        let x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
         s.set(x);
-        let x = x ^ (s as *const Cell<u64> as u64);
         let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -85,61 +93,27 @@ impl StatCounter {
         }
     }
 
-    /// Record one event. `rng` supplies the thinning decisions (per-thread,
-    /// deterministic under simulation).
+    /// Record one event: [`add_drawn`](StatCounter::add_drawn) of one,
+    /// rounded with a draw from `rng` (per-thread, deterministic under
+    /// simulation). Above the exact regime that updates the shared word
+    /// with probability `2^-exponent`, the paper's thinning.
     #[inline]
     pub fn inc(&self, rng: &mut Rng) {
-        let (_, exp) = unpack(self.word.load(Ordering::Relaxed));
-        // Update with probability 2^-exp…
-        if exp > 0 && rng.gen_range(1 << exp) != 0 {
-            return;
-        }
-        // …and when we do, the CAS retries with backoff (contention on the
-        // shared word is already thinned by the sampling).
-        let mut backoff = Backoff::with_max_exp(6);
-        loop {
-            let w = self.word.load(Ordering::Relaxed);
-            let (m, e) = unpack(w);
-            if e != exp {
-                // The exponent moved under us; our thinning probability was
-                // wrong — drop this update attempt (the paper accepts this
-                // transient; it only perturbs the estimate near threshold).
-                return;
-            }
-            let (nm, ne) = if m + 1 >= MANTISSA_THRESHOLD * 2 {
-                (m.div_ceil(2), e + 1)
-            } else {
-                (m + 1, e)
-            };
-            tick(Event::Cas);
-            if self
-                .word
-                .compare_exchange_weak(w, pack(nm, ne), Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-            backoff.spin();
-        }
+        self.add_drawn(1, rng.next_u64());
     }
 
-    /// Fold a pre-aggregated batch of `n` events into the counter. This is
-    /// the flush half of the fast path's thread-local delta batching, and
-    /// it only runs where `tick` is a no-op: under the virtual-time
-    /// simulator the runtime keeps per-event [`inc`] so schedules and
-    /// digests stay bit-identical, and on real hardware the batched sink
-    /// records into a stack-local delta and flushes here — tick-free, at
-    /// most one CAS loop per counter instead of one per event.
+    /// Fold a pre-aggregated batch of `n` events into the counter — the
+    /// flush half of the critical-section driver's stack-local statistics
+    /// delta, under the simulator and on real threads alike. Tick-free: at
+    /// most one CAS loop per counter per flush, instead of one per event.
     ///
     /// Exact and RNG-free while the exponent is zero (the regime every
     /// ale-check workload stays in). Above threshold the batch folds at the
-    /// counter's resolution without bias, the batched form of [`inc`]'s
-    /// thinning: `n >> exp` whole units, plus one more with probability
-    /// `(n mod 2^exp) / 2^exp`. A draw that yields no unit returns without
-    /// touching the shared word, so a stream of small flushes costs what a
-    /// stream of `inc`s does.
-    ///
-    /// [`inc`]: StatCounter::inc
+    /// counter's resolution without bias: `n >> exp` whole units, plus one
+    /// more with probability `(n mod 2^exp) / 2^exp`. A draw that yields no
+    /// unit returns without touching the shared word, so a stream of
+    /// small flushes leaves the word alone as often as the paper's
+    /// per-event thinning does.
     #[inline]
     pub fn add(&self, n: u64) {
         self.fold(n, None);
@@ -154,6 +128,7 @@ impl StatCounter {
         self.fold(n, Some(draw));
     }
 
+    /// The one writer of the shared word.
     #[inline]
     fn fold(&self, n: u64, mut draw: Option<u64>) {
         if n == 0 {
@@ -179,9 +154,12 @@ impl StatCounter {
                 nm = nm.div_ceil(2);
                 ne += 1;
             }
+            // Strong CAS: with no tick between the load and here, a lane
+            // under the simulator cannot lose this race, so the retry's
+            // backoff (a tick) only ever runs on real threads.
             if self
                 .word
-                .compare_exchange_weak(w, pack(nm, ne), Ordering::AcqRel, Ordering::Relaxed)
+                .compare_exchange(w, pack(nm, ne), Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
                 return;

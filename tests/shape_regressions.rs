@@ -367,9 +367,13 @@ fn storm_breaker_recovers_throughput() {
         on.post_htm_ops > 0,
         "recovery must run in HTM again: {on:?}"
     );
+    // Once the longest cool-down could have expired, throughput is back.
+    // (The whole post-storm phase also counts the tail of whichever
+    // jittered cool-down was armed last, so it measures where that landed.)
     assert!(
-        on.post_mops > on.pre_mops * 0.9,
-        "post-storm throughput must recover to within 10% of pre-storm: {on:?}"
+        on.recovered_mops > on.pre_mops * 0.9,
+        "throughput must recover to within 10% of pre-storm once the last \
+         cool-down has expired: {on:?}"
     );
     // During the storm, tripping to the lock beats burning HTM budgets.
     assert!(
