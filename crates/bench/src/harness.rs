@@ -7,10 +7,12 @@
 //! runs are shorter, so the warm-up keeps the comparison fair). Static
 //! variants get the same warm-up for symmetry.
 
-use ale_core::Report;
+use std::sync::Arc;
+
+use ale_core::{Ale, Report};
 use ale_hashmap::{AleHashMap, AleShardedMap, BaselineHashMap, MapConfig, ShardedMapConfig};
 use ale_kyoto::{AleCacheDb, DbConfig, KyotoDb, TrylockspinDb, WickedConfig};
-use ale_vtime::{Platform, Rng, Sim, Zipf};
+use ale_vtime::{Lane, Platform, Rng, Sim, Zipf};
 
 use crate::variant::{Mods, Variant};
 
@@ -103,15 +105,16 @@ impl HashMapWorkload {
         self.zipf_theta.map(|t| Zipf::new(self.key_space, t))
     }
 
+    /// The bucket count: the override, else a quarter of the key space.
+    fn total_buckets(&self) -> usize {
+        self.buckets
+            .unwrap_or((self.key_space as usize / 4).clamp(64, 1 << 16))
+    }
+
+    /// One draw of the mix against `map`; a hit's value is folded into
+    /// `sink`.
     #[inline]
-    fn run_op(
-        &self,
-        zipf: Option<&Zipf>,
-        rng: &mut Rng,
-        get: &mut impl FnMut(u64),
-        insert: &mut impl FnMut(u64),
-        remove: &mut impl FnMut(u64),
-    ) {
+    fn run_op(&self, zipf: Option<&Zipf>, rng: &mut Rng, map: &impl BenchMap, sink: &mut u64) {
         let key = match zipf {
             // Scramble ranks over the key space so hot keys spread across
             // buckets/slots (rank 0 is hottest).
@@ -120,14 +123,42 @@ impl HashMapWorkload {
         };
         let dice = rng.gen_range(1000) as u32;
         if dice < self.insert_pm {
-            insert(key);
+            map.insert(key, key.wrapping_mul(31));
         } else if dice < self.insert_pm + self.remove_pm {
-            remove(key);
+            map.remove(key);
         } else {
-            get(key);
+            let mut v = 0;
+            if map.get(key, &mut v) {
+                *sink ^= v;
+            }
         }
     }
 }
+
+/// The three operations the HashMap workload draws, on any of the maps.
+trait BenchMap: Sync {
+    fn get(&self, key: u64, val: &mut u64) -> bool;
+    fn insert(&self, key: u64, val: u64) -> bool;
+    fn remove(&self, key: u64) -> bool;
+}
+
+macro_rules! bench_map {
+    ($($map:ty),*) => {$(
+        impl BenchMap for $map {
+            fn get(&self, key: u64, val: &mut u64) -> bool {
+                <$map>::get(self, key, val)
+            }
+            fn insert(&self, key: u64, val: u64) -> bool {
+                <$map>::insert(self, key, val)
+            }
+            fn remove(&self, key: u64) -> bool {
+                <$map>::remove(self, key)
+            }
+        }
+    )*};
+}
+
+bench_map!(BaselineHashMap<u64>, AleHashMap<u64>, AleShardedMap<u64>);
 
 /// One figure cell's outcome.
 #[derive(Debug)]
@@ -158,6 +189,77 @@ impl RunResult {
 /// fidelity for far fewer lane handoffs (see `ale-vtime`). Zero keeps the
 /// exact conservative schedule; figures use a small slack for speed.
 pub const BENCH_SLACK_NS: u64 = 300;
+
+/// What every runner shares: the platform, the lane count, the ops each
+/// lane runs in the warm-up and the measured pass, and the seed.
+struct Cell {
+    platform: Platform,
+    threads: usize,
+    ops_per_lane: u64,
+    warmup_per_lane: u64,
+    seed: u64,
+}
+
+impl Cell {
+    /// Run `body(lane, ops)` on every lane: a warm-up pass on `seed`
+    /// (skipped at zero ops), then the measured pass on `seed ^ 0xBEEF`.
+    /// `ale`'s report is taken after the measured pass.
+    fn simulate<T: Send>(
+        &self,
+        variant: String,
+        ale: Option<&Arc<Ale>>,
+        body: impl Fn(&mut Lane, u64) -> T + Sync,
+    ) -> RunResult {
+        let pass = |seed, ops| {
+            Sim::new(self.platform.clone(), self.threads)
+                .with_seed(seed)
+                .with_slack(BENCH_SLACK_NS)
+                .run(|lane| body(lane, ops))
+        };
+        if self.warmup_per_lane > 0 {
+            pass(self.seed, self.warmup_per_lane);
+        }
+        let report = pass(self.seed ^ 0xBEEF, self.ops_per_lane);
+        let total = self.ops_per_lane * self.threads as u64;
+        RunResult {
+            variant,
+            platform: self.platform.kind.name(),
+            threads: self.threads,
+            total_ops: total,
+            makespan_ns: report.makespan_ns,
+            mops: report.throughput(total) / 1e6,
+            report: ale.map(|a| a.report()),
+        }
+    }
+
+    /// The HashMap microbenchmark on `map`: prefill every even key, then
+    /// simulate the workload's op mix.
+    fn run_map(
+        &self,
+        workload: &HashMapWorkload,
+        map: &impl BenchMap,
+        variant: String,
+        ale: Option<&Arc<Ale>>,
+    ) -> RunResult {
+        for k in (0..workload.key_space).step_by(2) {
+            map.insert(k, k.wrapping_mul(31));
+        }
+        // Setup traffic (single-threaded, real-time, insert-only) must not
+        // pollute what the policy learns about the measured workload.
+        if let Some(a) = ale {
+            a.reset_statistics();
+        }
+        let zipf = workload.key_sampler();
+        self.simulate(variant, ale, |lane, ops| {
+            let mut rng = lane.rng().clone();
+            let mut sink = 0u64;
+            for _ in 0..ops {
+                workload.run_op(zipf.as_ref(), &mut rng, map, &mut sink);
+            }
+            std::hint::black_box(sink);
+        })
+    }
+}
 
 /// Execute the HashMap microbenchmark.
 pub fn run_hashmap(
@@ -193,120 +295,27 @@ pub fn run_hashmap_mods(
     warmup_per_lane: u64,
     seed: u64,
 ) -> RunResult {
-    let kind = platform.kind.name();
-    let buckets = workload
-        .buckets
-        .unwrap_or((workload.key_space as usize / 4).clamp(64, 1 << 16));
-
+    let buckets = workload.total_buckets();
+    let capacity = workload.key_space * 2 + 4096;
+    let cell = Cell {
+        platform,
+        threads,
+        ops_per_lane,
+        warmup_per_lane,
+        seed,
+    };
     if variant == Variant::Uninstrumented {
-        let map: BaselineHashMap<u64> =
-            BaselineHashMap::new(buckets, workload.key_space * 2 + 4096);
-        for k in (0..workload.key_space).step_by(2) {
-            map.insert(k, k.wrapping_mul(31));
-        }
-        let zipf = workload.key_sampler();
-        let body = |lane: &mut ale_vtime::Lane, ops: u64| {
-            let mut rng = lane.rng().clone();
-            let mut sink = 0u64;
-            for _ in 0..ops {
-                workload.run_op(
-                    zipf.as_ref(),
-                    &mut rng,
-                    &mut |k| {
-                        let mut v = 0;
-                        if map.get(k, &mut v) {
-                            sink ^= v;
-                        }
-                    },
-                    &mut |k| {
-                        map.insert(k, k.wrapping_mul(31));
-                    },
-                    &mut |k| {
-                        map.remove(k);
-                    },
-                );
-            }
-            std::hint::black_box(sink);
-        };
-        if warmup_per_lane > 0 {
-            Sim::new(platform.clone(), threads)
-                .with_seed(seed)
-                .with_slack(BENCH_SLACK_NS)
-                .run(|lane| body(lane, warmup_per_lane));
-        }
-        let report = Sim::new(platform, threads)
-            .with_seed(seed ^ 0xBEEF)
-            .with_slack(BENCH_SLACK_NS)
-            .run(|lane| body(lane, ops_per_lane));
-        let total = ops_per_lane * threads as u64;
-        return RunResult {
-            variant: variant.name(),
-            platform: kind,
-            threads,
-            total_ops: total,
-            makespan_ns: report.makespan_ns,
-            mops: report.throughput(total) / 1e6,
-            report: None,
-        };
+        let map: BaselineHashMap<u64> = BaselineHashMap::new(buckets, capacity);
+        return cell.run_map(workload, &map, variant.name(), None);
     }
-
-    let ale = variant.build_ale_mods(platform.clone(), seed, mods);
+    let ale = variant.build_ale_mods(cell.platform.clone(), seed, mods);
     let map: AleHashMap<u64> = AleHashMap::new(
         &ale,
         MapConfig::new(buckets)
-            .with_capacity(workload.key_space * 2 + 4096)
+            .with_capacity(capacity)
             .with_version_stripes(workload.version_stripes),
     );
-    for k in (0..workload.key_space).step_by(2) {
-        map.insert(k, k.wrapping_mul(31));
-    }
-    // Setup traffic (single-threaded, real-time, insert-only) must not
-    // pollute what the policy learns about the measured workload.
-    ale.reset_statistics();
-    let zipf = workload.key_sampler();
-    let body = |lane: &mut ale_vtime::Lane, ops: u64| {
-        let mut rng = lane.rng().clone();
-        let mut sink = 0u64;
-        for _ in 0..ops {
-            workload.run_op(
-                zipf.as_ref(),
-                &mut rng,
-                &mut |k| {
-                    let mut v = 0;
-                    if map.get(k, &mut v) {
-                        sink ^= v;
-                    }
-                },
-                &mut |k| {
-                    map.insert(k, k.wrapping_mul(31));
-                },
-                &mut |k| {
-                    map.remove(k);
-                },
-            );
-        }
-        std::hint::black_box(sink);
-    };
-    if warmup_per_lane > 0 {
-        Sim::new(platform.clone(), threads)
-            .with_seed(seed)
-            .with_slack(BENCH_SLACK_NS)
-            .run(|lane| body(lane, warmup_per_lane));
-    }
-    let report = Sim::new(platform, threads)
-        .with_seed(seed ^ 0xBEEF)
-        .with_slack(BENCH_SLACK_NS)
-        .run(|lane| body(lane, ops_per_lane));
-    let total = ops_per_lane * threads as u64;
-    RunResult {
-        variant: variant.name(),
-        platform: kind,
-        threads,
-        total_ops: total,
-        makespan_ns: report.makespan_ns,
-        mops: report.throughput(total) / 1e6,
-        report: Some(ale.report()),
-    }
+    cell.run_map(workload, &map, variant.name(), Some(&ale))
 }
 
 /// Execute the HashMap microbenchmark against the *sharded* map: the same
@@ -339,12 +348,7 @@ pub fn run_sharded(
         variant != Variant::Uninstrumented,
         "the sharded map has no uninstrumented baseline"
     );
-    let kind = platform.kind.name();
-    let total_buckets = workload
-        .buckets
-        .unwrap_or((workload.key_space as usize / 4).clamp(64, 1 << 16));
-    let buckets_per_shard = (total_buckets / shards).max(4);
-
+    let buckets_per_shard = (workload.total_buckets() / shards).max(4);
     let ale = variant.build_ale_mods(platform.clone(), seed, Mods::default());
     let map: AleShardedMap<u64> = AleShardedMap::new(
         &ale,
@@ -353,54 +357,15 @@ pub fn run_sharded(
             .with_capacity_per_shard((workload.key_space * 2) / shards as u64 + 4096)
             .with_version_stripes(workload.version_stripes),
     );
-    for k in (0..workload.key_space).step_by(2) {
-        map.insert(k, k.wrapping_mul(31));
-    }
-    ale.reset_statistics();
-    let zipf = workload.key_sampler();
-    let body = |lane: &mut ale_vtime::Lane, ops: u64| {
-        let mut rng = lane.rng().clone();
-        let mut sink = 0u64;
-        for _ in 0..ops {
-            workload.run_op(
-                zipf.as_ref(),
-                &mut rng,
-                &mut |k| {
-                    let mut v = 0;
-                    if map.get(k, &mut v) {
-                        sink ^= v;
-                    }
-                },
-                &mut |k| {
-                    map.insert(k, k.wrapping_mul(31));
-                },
-                &mut |k| {
-                    map.remove(k);
-                },
-            );
-        }
-        std::hint::black_box(sink);
-    };
-    if warmup_per_lane > 0 {
-        Sim::new(platform.clone(), threads)
-            .with_seed(seed)
-            .with_slack(BENCH_SLACK_NS)
-            .run(|lane| body(lane, warmup_per_lane));
-    }
-    let report = Sim::new(platform, threads)
-        .with_seed(seed ^ 0xBEEF)
-        .with_slack(BENCH_SLACK_NS)
-        .run(|lane| body(lane, ops_per_lane));
-    let total = ops_per_lane * threads as u64;
-    RunResult {
-        variant: format!("Sharded{}x-{}", map.shard_count(), variant.name()),
-        platform: kind,
+    let cell = Cell {
+        platform,
         threads,
-        total_ops: total,
-        makespan_ns: report.makespan_ns,
-        mops: report.throughput(total) / 1e6,
-        report: Some(ale.report()),
-    }
+        ops_per_lane,
+        warmup_per_lane,
+        seed,
+    };
+    let name = format!("Sharded{}x-{}", map.shard_count(), variant.name());
+    cell.run_map(workload, &map, name, Some(&ale))
 }
 
 /// Execute the Kyoto `wicked` benchmark.
@@ -413,46 +378,31 @@ pub fn run_kyoto(
     warmup_per_lane: u64,
     seed: u64,
 ) -> RunResult {
-    let kind = platform.kind.name();
     let db_cfg = DbConfig {
         buckets_per_slot: ((cfg.key_space as usize / 16).next_power_of_two()).clamp(64, 1 << 14),
         capacity_per_slot: cfg.key_space / 4 + 4096,
         payload_cells: cfg.payload_cells,
     };
-
-    let run = |db: &dyn KyotoDb, ale: Option<&std::sync::Arc<ale_core::Ale>>| -> RunResult {
+    let cell = Cell {
+        platform,
+        threads,
+        ops_per_lane,
+        warmup_per_lane,
+        seed,
+    };
+    let run = |db: &dyn KyotoDb, ale: Option<&Arc<Ale>>| -> RunResult {
         ale_kyoto::prefill(db, cfg, seed);
         if let Some(a) = ale {
             a.reset_statistics();
         }
-        let body = |lane: &mut ale_vtime::Lane, ops: u64| {
+        cell.simulate(variant.name(), ale, |lane, ops| {
             let mut rng = lane.rng().clone();
             let mut stats = ale_kyoto::WickedStats::default();
             for _ in 0..ops {
                 ale_kyoto::wicked_op(db, cfg, &mut rng, &mut stats);
             }
             stats
-        };
-        if warmup_per_lane > 0 {
-            Sim::new(platform.clone(), threads)
-                .with_seed(seed)
-                .with_slack(BENCH_SLACK_NS)
-                .run(|lane| body(lane, warmup_per_lane));
-        }
-        let report = Sim::new(platform.clone(), threads)
-            .with_seed(seed ^ 0xBEEF)
-            .with_slack(BENCH_SLACK_NS)
-            .run(|lane| body(lane, ops_per_lane));
-        let total = ops_per_lane * threads as u64;
-        RunResult {
-            variant: variant.name(),
-            platform: kind,
-            threads,
-            total_ops: total,
-            makespan_ns: report.makespan_ns,
-            mops: report.throughput(total) / 1e6,
-            report: ale.map(|a| a.report()),
-        }
+        })
     };
 
     if variant == Variant::Uninstrumented {
@@ -463,7 +413,7 @@ pub fn run_kyoto(
         );
         run(&db, None)
     } else {
-        let ale = variant.build_ale_mods(platform.clone(), seed, Mods::default());
+        let ale = variant.build_ale_mods(cell.platform.clone(), seed, Mods::default());
         let db = AleCacheDb::new(&ale, db_cfg);
         run(&db, Some(&ale))
     }

@@ -14,6 +14,9 @@
 //! so both profiles simulate the same schedule. The original constants
 //! were blessed in a debug build back when `SpinLock::release`'s
 //! assertion ticked; the current ones are the profile-independent values.
+//!
+//! Each test holds [`ale_trace::test_serial`]: one simulation at a time in
+//! this binary, so none sees another's HTM clock traffic.
 
 use ale_check::{run_once, CheckConfig, StrategyKind, Workload};
 
@@ -62,6 +65,7 @@ fn pinned_config(workload: Workload) -> CheckConfig {
 
 #[test]
 fn scenario_digests_are_pinned() {
+    let _g = ale_trace::test_serial();
     // BLESS=1 prints the constants to paste into PINNED instead of failing.
     let bless = std::env::var_os("BLESS").is_some();
     for (workload, want) in PINNED {
@@ -89,6 +93,7 @@ fn scenario_digests_are_pinned() {
 
 #[test]
 fn shard_digests_are_pinned_across_all_strategies() {
+    let _g = ale_trace::test_serial();
     let bless = std::env::var_os("BLESS").is_some();
     for (strategy, want) in SHARD_PINNED {
         let cfg = CheckConfig {
@@ -121,6 +126,7 @@ fn shard_digests_are_pinned_across_all_strategies() {
 
 #[test]
 fn pinned_schedules_replay_bit_identically() {
+    let _g = ale_trace::test_serial();
     let cfg = pinned_config(Workload::Registry);
     let a = run_once(&cfg);
     let b = run_once(&cfg);

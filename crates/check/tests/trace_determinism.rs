@@ -4,6 +4,9 @@
 //! produce *byte-identical* merged JSONL and equal FNV stream digests —
 //! that is the contract that lets ale-check treat the event stream as an
 //! oracle surface, and lets a human diff two runs of a replay file.
+//!
+//! Each test holds [`ale_trace::test_serial`]: one simulation at a time in
+//! this binary, so none sees another's HTM clock traffic.
 
 use ale_check::{run_once, CheckConfig};
 
@@ -19,6 +22,7 @@ fn traced_config(seed: u64) -> CheckConfig {
 
 #[test]
 fn same_seed_runs_produce_identical_trace_streams() {
+    let _g = ale_trace::test_serial();
     let cfg = traced_config(11);
     let a = run_once(&cfg);
     let b = run_once(&cfg);
@@ -55,6 +59,7 @@ fn same_seed_runs_produce_identical_trace_streams() {
 
 #[test]
 fn different_seeds_produce_different_trace_streams() {
+    let _g = ale_trace::test_serial();
     let a = run_once(&traced_config(3));
     let b = run_once(&traced_config(4));
     assert_ne!(
@@ -66,6 +71,7 @@ fn different_seeds_produce_different_trace_streams() {
 
 #[test]
 fn trace_off_outcome_carries_no_stream() {
+    let _g = ale_trace::test_serial();
     let cfg = CheckConfig {
         ops: 40,
         ..CheckConfig::default()

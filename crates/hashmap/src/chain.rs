@@ -6,9 +6,10 @@
 //! here: it takes the validation as a closure and calls it after every
 //! read a conflicting action could invalidate. A pessimistic caller passes
 //! `|| true` and monomorphises to the bare loop; a SWOpt caller passes its
-//! protocol's check — one version stripe ([`AleHashMap`](crate::AleHashMap),
-//! kyoto's slots) or the stripe *and* the table-pointer version
-//! ([`AleShardedMap`](crate::AleShardedMap)).
+//! protocol's check — kyoto's slot version, or the map protocol's version
+//! stripe *and* table-pointer version, which for the fixed table of
+//! [`AleHashMap`](crate::AleHashMap) compiles down to the stripe alone and
+//! for a resizing [`AleShardedMap`](crate::AleShardedMap) shard is both.
 //!
 //! **Order contract.** Every method issues its `HtmCell` reads and writes
 //! in the fixed order its doc states, and `walk` validates after the head

@@ -14,13 +14,19 @@
 //!   incremental resize whose migration steps are themselves elided
 //!   critical sections (see `shard` module docs).
 //!
-//! All three — and `ale-kyoto`'s slots — are built on one **chain engine**
-//! ([`chain`]): the bucket-chain walk, link, unlink, move-to-front and
-//! sweep are [`NodeSlab`] methods over a [`Table`]'s head cells, written
-//! once. The walk takes its validation as a closure, so the SWOpt and the
-//! pessimistic search are two instantiations of one source (the paper's
-//! Figure 1), and each structure keeps only its protocol: which versions
-//! it snapshots, what it validates, where it opens the conflicting region.
+//! [`AleHashMap`] and each [`AleShardedMap`] shard are one type, the
+//! `shard` module's `Shard<V, B>`: the §3 protocol written once over a
+//! bucket layout chosen at compile time — one fixed [`Table`], or a
+//! resizing [`TableSet`] behind a table-pointer seqlock.
+//!
+//! All three maps — and `ale-kyoto`'s slots — are built on one **chain
+//! engine** ([`chain`]): the bucket-chain walk, link, unlink, move-to-front
+//! and sweep are [`NodeSlab`] methods over a [`Table`]'s head cells,
+//! written once. The walk takes its validation as a closure, so the SWOpt
+//! and the pessimistic search are two instantiations of one source (the
+//! paper's Figure 1), and each structure keeps only its protocol: which
+//! versions it snapshots, what it validates, where it opens the
+//! conflicting region.
 //!
 //! Keys are `u64`; values are any `Copy + Default` type of at most 16
 //! bytes (they live in [`ale_htm::HtmCell`]s).

@@ -1,12 +1,24 @@
-//! The sharded, incrementally-resizable ALE map (ROADMAP item 2).
+//! The §3 map protocol, written once, and the sharded map built on it.
+//!
+//! `Shard<V, B>` is one lock over chained buckets: the SWOpt and
+//! pessimistic `Get` (Figure 1), `Insert`/`Remove` with only the overwrite
+//! and the unlink bracketed as conflicting, and the node slab and version
+//! stripes under them. `B: Buckets` is the bucket layout, fixed at compile
+//! time:
+//!
+//! * [`Table`] — one fixed bucket array. Every layout method is a
+//!   constant, so the resize protocol below compiles out.
+//!   [`AleHashMap`](crate::AleHashMap) is a `Shard<V, Table>`.
+//! * `Resizing` — an append-only [`TableSet`] behind a table-pointer
+//!   seqlock. Each shard of [`AleShardedMap`] is a `Shard<V, Resizing>`.
 //!
 //! [`AleShardedMap`] splits the key space across N shards by the *high*
-//! bits of the same Fibonacci hash [`AleHashMap`](crate::AleHashMap) uses
-//! for buckets. Each shard owns its own [`AleLock`], [`NodeSlab`], version
-//! stripes, and bucket tables — so the per-granule adaptive policy and the
-//! StormBreaker see N independent granules and can pick a *different mode
-//! per shard* under skewed traffic: a Zipf-hot shard may fall back to Lock
-//! mode while cold shards keep eliding.
+//! bits of the same Fibonacci hash whose low bits pick the bucket. Each
+//! shard owns its own [`AleLock`], [`NodeSlab`], version stripes, and
+//! bucket tables — so the per-granule adaptive policy and the StormBreaker
+//! see N independent granules and can pick a *different mode per shard*
+//! under skewed traffic: a Zipf-hot shard may fall back to Lock mode while
+//! cold shards keep eliding.
 //!
 //! ## Incremental resize
 //!
@@ -14,8 +26,8 @@
 //! [`ShardedMapConfig::max_load_permille`] doubles its bucket array. The
 //! doubled [`Table`] is installed into the shard's append-only
 //! [`TableSet`], and migration proceeds one chain per step, driven
-//! piggyback from subsequent mutating operations (or explicitly via
-//! [`AleShardedMap::migrate_step`]).
+//! piggyback from subsequent mutating operations while a migration is
+//! live (or explicitly via [`AleShardedMap::migrate_step`]).
 //!
 //! The shard's migration state is published through an
 //! [`ale_sync::SeqBuffer`] of four words — `[cur_table_slot,
@@ -76,9 +88,9 @@ fn mix(key: u64) -> u64 {
     key.wrapping_mul(FIB)
 }
 
-/// The bucket hash: same bits the single-lock map masks for its buckets.
+/// The bucket hash: a table masks its low bits, the version stripes too.
 #[inline]
-fn hash_of(key: u64) -> usize {
+pub(crate) fn hash_of(key: u64) -> usize {
     (mix(key) >> 32) as usize
 }
 
@@ -96,7 +108,7 @@ pub struct ShardedMapConfig {
     /// Stripes are indexed by hash, so they survive resizes unchanged.
     pub version_stripes: usize,
     /// Resize trigger: a shard doubles once `live_keys * 1000 >
-    /// buckets * max_load_permille`. `0` disables resizing entirely.
+    /// buckets * max_load_permille`. Must be positive.
     pub max_load_permille: u64,
     /// Migration chains moved piggyback per mutating operation.
     pub migrate_steps_per_op: usize,
@@ -149,16 +161,45 @@ impl ShardedMapConfig {
     }
 }
 
-/// A search hit: `(chain head, predecessor id | NIL, node id)`.
-type Hit<'a> = (&'a HtmCell<u64>, u64, u64);
+/// A shard's bucket layout: everything the §3 protocol asks of the tables
+/// under it. Chosen at compile time, so a layout without resize pays for
+/// none of it.
+pub(crate) trait Buckets {
+    /// The table-pointer snapshot `[cur_slot, prev_slot | NO_TABLE, cursor,
+    /// epoch]` and the version it was validated against. Locked paths use
+    /// the snapshot alone; SWOpt paths re-validate the version.
+    fn meta(&self) -> ([u64; 4], u64);
+    /// The table-pointer version SWOpt readers validate, if there is one.
+    fn meta_version(&self) -> Option<&SeqVersion>;
+    /// The table at a slot named by [`meta`](Self::meta).
+    fn table(&self, slot: u64) -> &Table;
+    /// Account for `delta` live keys.
+    fn counted(&self, delta: i64);
+}
 
-/// One shard: a self-contained single-lock chained table with resize state.
-struct Shard<V: Copy + Default + Send + 'static> {
-    lock: AleLock<SpinLock>,
-    slab: NodeSlab<V>,
-    /// Per-stripe version words, cache-line padded (DESIGN.md §14).
-    vers: Vec<CachePadded<SeqVersion>>,
-    ver_mask: usize,
+/// The fixed layout: one table, no migration, no key count.
+impl Buckets for Table {
+    #[inline]
+    fn meta(&self) -> ([u64; 4], u64) {
+        ([0, NO_TABLE, 0, 0], 0)
+    }
+
+    #[inline]
+    fn meta_version(&self) -> Option<&SeqVersion> {
+        None
+    }
+
+    #[inline]
+    fn table(&self, _slot: u64) -> &Table {
+        self
+    }
+
+    #[inline]
+    fn counted(&self, _delta: i64) {}
+}
+
+/// The incremental-resize layout (module docs).
+pub(crate) struct Resizing {
     tables: TableSet,
     /// `[cur_slot, prev_slot | NO_TABLE, migration_cursor, epoch]`.
     meta: SeqBuffer<4>,
@@ -167,9 +208,76 @@ struct Shard<V: Copy + Default + Send + 'static> {
     max_load_permille: u64,
 }
 
-impl<V: Copy + Default + Send + 'static> Shard<V> {
+impl Resizing {
+    fn new(buckets: usize, max_load_permille: u64) -> Self {
+        let r = Resizing {
+            tables: TableSet::new(Table::new(buckets)),
+            meta: SeqBuffer::new(),
+            count: HtmCell::new(0),
+            max_load_permille,
+        };
+        // Initial metadata: current table in slot 0, no migration.
+        r.meta.store([0, NO_TABLE, 0, 0]);
+        r
+    }
+}
+
+impl Buckets for Resizing {
     #[inline]
-    fn ver_of(&self, hash: usize) -> &SeqVersion {
+    fn meta(&self) -> ([u64; 4], u64) {
+        self.meta.load_versioned()
+    }
+
+    #[inline]
+    fn meta_version(&self) -> Option<&SeqVersion> {
+        Some(self.meta.version())
+    }
+
+    #[inline]
+    fn table(&self, slot: u64) -> &Table {
+        self.tables.get(slot)
+    }
+
+    #[inline]
+    fn counted(&self, delta: i64) {
+        let (n, wrapped) = self.count.get().overflowing_add_signed(delta);
+        debug_assert!(!wrapped, "live-key count underflow");
+        self.count.set(n);
+    }
+}
+
+/// A search hit: `(chain head, predecessor id | NIL, node id)`.
+type Hit<'a> = (&'a HtmCell<u64>, u64, u64);
+
+/// One lock over chained buckets laid out by `B`: the §3 map.
+pub(crate) struct Shard<V: Copy + Default + Send + 'static, B: Buckets> {
+    pub(crate) lock: AleLock<SpinLock>,
+    pub(crate) slab: NodeSlab<V>,
+    /// Per-stripe version words, each padded onto its own cache line
+    /// (DESIGN.md §14): stripes exist to split writer traffic, which is
+    /// defeated if neighbouring stripes share a line.
+    pub(crate) vers: Vec<CachePadded<SeqVersion>>,
+    pub(crate) ver_mask: usize,
+    pub(crate) buckets: B,
+}
+
+impl<V: Copy + Default + Send + 'static, B: Buckets> Shard<V, B> {
+    /// A shard of `capacity` nodes and `stripes` (a power of two) version
+    /// stripes, guarded by `lock`.
+    pub(crate) fn new(lock: AleLock<SpinLock>, capacity: u64, stripes: usize, buckets: B) -> Self {
+        Shard {
+            lock,
+            slab: NodeSlab::with_capacity(capacity),
+            vers: (0..stripes)
+                .map(|_| CachePadded::new(SeqVersion::new()))
+                .collect(),
+            ver_mask: stripes - 1,
+            buckets,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn ver_of(&self, hash: usize) -> &SeqVersion {
         &self.vers[hash & self.ver_mask]
     }
 
@@ -182,7 +290,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
             // land in the wrong new-table bucket, where no lookup (which
             // masks correctly) will ever find them — a lost key the shard
             // workload's shadow oracle must catch.
-            return hash & self.tables.get(prev).mask;
+            return hash & self.buckets.table(prev).mask;
         }
         hash & curt.mask
     }
@@ -194,6 +302,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
     /// `None` on interference, `Some(None)` on a miss, else the hit's
     /// `(chain head, prev, id)`.
     // ale-lint: swopt
+    #[inline]
     fn search(
         &self,
         [cur, prev, cursor, _]: [u64; 4],
@@ -201,14 +310,14 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         key: u64,
         ok: &impl Fn() -> bool,
     ) -> Option<Option<Hit<'_>>> {
-        let curt = self.tables.get(cur);
+        let curt = self.buckets.table(cur);
         let head = curt.bucket(hash & curt.mask);
         let (p, id) = self.slab.walk(head, key, ok)?;
         if id != NIL {
             return Some(Some((head, p, id)));
         }
         if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
+            let prevt = self.buckets.table(prev);
             let ob = hash & prevt.mask;
             if (ob as u64) >= cursor {
                 let head = prevt.bucket(ob);
@@ -222,6 +331,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
     }
 
     /// [`search`](Self::search) under exclusion (HTM/Lock): cannot fail.
+    #[inline]
     fn find(&self, meta: [u64; 4], hash: usize, key: u64) -> Option<Hit<'_>> {
         self.search(meta, hash, key, &|| true)
             .expect("an unvalidated search has no failure path")
@@ -234,84 +344,200 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
     /// overwrites/unlinks; the metadata version catches chain splices and
     /// table swaps.
     // ale-lint: swopt
-    fn get_swopt(&self, hash: usize, key: u64, ret_val: &mut V) -> Option<bool> {
-        let (snap, mv) = self.meta.load_versioned();
+    #[inline]
+    pub(crate) fn get_swopt(&self, hash: usize, key: u64, ret_val: &mut V) -> Option<bool> {
+        let (snap, mv) = self.buckets.meta();
         let ver = self.ver_of(hash);
         let v = ver.read(true);
+        let meta_ok = || self.buckets.meta_version().is_none_or(|m| m.validate(mv));
         // The stripe snapshot must postdate nothing: re-anchor the metadata.
-        if !self.meta.version().validate(mv) {
+        if !meta_ok() {
             return None;
         }
-        let ok = || ver.validate(v) && self.meta.version().validate(mv);
+        let ok = || ver.validate(v) && meta_ok();
         let Some((_, _, id)) = self.search(snap, hash, key, &ok)? else {
             return Some(false);
         };
         let val = self.slab.node(id).val.get();
-        if !ok() {
+        // Self-test mutation (`SkipValidate`): dropping the validation
+        // after copying the value lets a SWOpt reader return data from a
+        // node recycled mid-read — ale-check's value-integrity oracle must
+        // catch it.
+        if !mutated(Mutation::SkipValidate) && !ok() {
             return None;
         }
         *ret_val = val;
         Some(true)
     }
 
-    /// Pessimistic (HTM/Lock) lookup across both tables.
+    /// Pessimistic (HTM/Lock) lookup.
+    #[inline]
     fn get_locked(&self, hash: usize, key: u64, ret_val: &mut V) -> bool {
-        let Some((_, _, id)) = self.find(self.meta.load(), hash, key) else {
+        let Some((_, _, id)) = self.find(self.buckets.meta().0, hash, key) else {
             return false;
         };
         *ret_val = self.slab.node(id).val.get();
         true
     }
 
-    fn insert_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64, val: V, new_id: u64) -> bool {
-        let meta = self.meta.load();
+    /// The HTM/Lock insertion. An overwrite is the conflicting region — a
+    /// SWOpt reader may be about to copy the value; publishing a
+    /// fully-initialised node at the head of the current-table chain is
+    /// not: readers see the old or the new chain.
+    pub(crate) fn insert_locked(
+        &self,
+        cs: &CsCtx<'_>,
+        hash: usize,
+        key: u64,
+        val: V,
+        new_id: u64,
+    ) -> bool {
+        let meta = self.buckets.meta().0;
         if let Some((_, _, id)) = self.find(meta, hash, key) {
             // Overwrite in place, whichever table holds the node: lookups
             // still consult the old table for buckets at or past the
-            // cursor. The conflicting region — a SWOpt reader may be about
-            // to copy this value.
+            // cursor.
             self.ver_of(hash)
                 .conflicting(cs.could_swopt_be_running(), || {
                     self.slab.node(id).val.set(val)
                 });
             return false;
         }
-        // Fresh link at the head of the current-table chain. Publishing a
-        // fully-initialised node is not a conflicting action: readers see
-        // the old or the new chain.
-        let curt = self.tables.get(meta[0]);
+        let curt = self.buckets.table(meta[0]);
         let idx = self.route_insert(hash, curt, meta[1]);
         self.slab.link_front(curt.bucket(idx), new_id);
-        self.count.set(self.count.get() + 1);
+        self.buckets.counted(1);
         true
     }
 
-    /// Remove `key` from whichever table holds it; the splice is the
-    /// conflicting region.
-    fn remove_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64) -> Option<u64> {
-        let (head, prev, id) = self.find(self.meta.load(), hash, key)?;
+    /// The HTM/Lock removal: find `key` in whichever table holds it, then
+    /// unlink it inside the conflicting region (the paper's §3.2 example).
+    /// Returns the unlinked node for [`recycle`](Self::recycle).
+    pub(crate) fn remove_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64) -> Option<u64> {
+        let (head, prev, id) = self.find(self.buckets.meta().0, hash, key)?;
         let next = self.slab.node(id).next.get();
+        // Self-test mutation (`SkipVersionBump`): unlinking without bumping
+        // the version makes concurrent SWOpt readers follow a recycled node
+        // unnoticed — ale-check must catch it.
+        let bump = cs.could_swopt_be_running() && !mutated(Mutation::SkipVersionBump);
         self.ver_of(hash)
-            .conflicting(cs.could_swopt_be_running(), || {
-                self.slab.unlink(head, prev, next)
-            });
-        self.count.set(self.count.get() - 1);
+            .conflicting(bump, || self.slab.unlink(head, prev, next));
+        self.buckets.counted(-1);
         Some(id)
+    }
+
+    /// Free an unlinked node — only after the unlink's critical section
+    /// committed. Returns whether there was one.
+    pub(crate) fn recycle(&self, unlinked: Option<u64>) -> bool {
+        if let Some(id) = unlinked {
+            self.slab.free(id);
+        }
+        unlinked.is_some()
+    }
+
+    /// Look up `key` under `scope`, copying its value into `ret_val`.
+    pub(crate) fn get(&self, scope: &'static ScopeId, key: u64, ret_val: &mut V) -> bool {
+        let hash = hash_of(key);
+        self.lock.cs(
+            scope,
+            CsOptions::new().with_swopt().non_conflicting(),
+            |cs| {
+                if cs.is_swopt() {
+                    self.get_swopt(hash, key, ret_val)
+                        .map_or(CsOutcome::SwOptFail, CsOutcome::Done)
+                } else {
+                    CsOutcome::Done(self.get_locked(hash, key, ret_val))
+                }
+            },
+        )
+    }
+
+    /// Insert `key → val` under `scope`. The node is allocated and filled
+    /// *outside* the critical section; only the link is published inside.
+    pub(crate) fn insert(&self, scope: &'static ScopeId, key: u64, val: V) -> bool {
+        let hash = hash_of(key);
+        let new_id = self.slab.alloc(key, val);
+        let inserted = self.lock.cs_plain(scope, CsOptions::new(), |cs| {
+            self.insert_locked(cs, hash, key, val, new_id)
+        });
+        if !inserted {
+            self.slab.free(new_id);
+        }
+        inserted
+    }
+
+    /// Remove `key` under `scope`; recycles the node once the unlink
+    /// committed.
+    pub(crate) fn remove(&self, scope: &'static ScopeId, key: u64) -> bool {
+        let hash = hash_of(key);
+        let removed = self.lock.cs_plain(scope, CsOptions::new(), |cs| {
+            self.remove_locked(cs, hash, key)
+        });
+        self.recycle(removed)
+    }
+
+    /// Key count via a Lock-mode sweep over every table (diagnostics).
+    pub(crate) fn len_slow(&self, scope: &'static ScopeId) -> usize {
+        self.lock
+            .cs_plain(scope, CsOptions::new().without_htm(), |_| {
+                let [cur, prev, _, _] = self.buckets.meta().0;
+                let mut n = 0;
+                let mut sweep = |t: &Table| {
+                    for head in t.heads() {
+                        self.slab.sweep(head, |_| n += 1);
+                    }
+                };
+                sweep(self.buckets.table(cur));
+                if prev != NO_TABLE {
+                    // Chains below the cursor must already be empty; sweep the
+                    // whole table so a violated invariant shows up as a count
+                    // mismatch.
+                    sweep(self.buckets.table(prev));
+                }
+                n
+            })
+    }
+
+    /// Are all version stripes and the table-pointer version even (no
+    /// conflicting region left open)?
+    pub(crate) fn versions_even(&self) -> bool {
+        self.vers
+            .iter()
+            .map(|v| &**v)
+            .chain(self.buckets.meta_version())
+            .all(|v| v.read(false).is_multiple_of(2))
+    }
+}
+
+impl<V: Copy + Default + Send + 'static> Shard<V, Resizing> {
+    /// Is a migration live?
+    fn migrating(&self) -> bool {
+        self.buckets.meta.load()[1] != NO_TABLE
+    }
+
+    /// Move one old-table chain inside its own elided critical section.
+    /// Returns true if a chain was moved (i.e. a migration was live).
+    fn migrate_step(&self) -> bool {
+        self.lock
+            .cs_plain(scope!("ShardedMap::migrate"), CsOptions::new(), |cs| {
+                self.migrate_step_in_cs(cs)
+            })
     }
 
     /// One migration step under the already-entered critical section:
     /// splice old-table chain `cursor` into the current table and publish
     /// the advanced cursor. Returns false when there is nothing to migrate.
     fn migrate_step_in_cs(&self, cs: &CsCtx<'_>) -> bool {
-        let [cur, prev, cursor, epoch] = self.meta.load();
+        let r = &self.buckets;
+        let [cur, prev, cursor, epoch] = r.meta.load();
         if prev == NO_TABLE {
             return false;
         }
-        let prevt = self.tables.get(prev);
-        let curt = self.tables.get(cur);
+        let prevt = r.tables.get(prev);
+        let curt = r.tables.get(cur);
         if cursor as usize > prevt.mask {
             // Every chain moved: retire the old table.
-            self.meta.store([cur, NO_TABLE, 0, epoch + 1]);
+            r.meta.store([cur, NO_TABLE, 0, epoch + 1]);
             return false;
         }
         let idx = cursor as usize;
@@ -323,7 +549,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         // old bucket, not yet linked into the new one). The bracket on the
         // table-pointer version is what turns that torn lookup into a
         // validation failure.
-        self.meta.version().conflicting(brackets, || {
+        r.meta.version().conflicting(brackets, || {
             prevt.bucket(idx).set(NIL);
             while bp != NIL {
                 let node = self.slab.node(bp);
@@ -340,10 +566,54 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
             // even version and reported the key absent. The late bump
             // cannot un-tell it. ale-check's torn-lookup oracle must catch
             // this.
-            self.meta.version().conflicting(true, || {});
+            r.meta.version().conflicting(true, || {});
         }
-        self.meta.store([cur, prev, cursor + 1, epoch]);
+        r.meta.store([cur, prev, cursor + 1, epoch]);
         true
+    }
+
+    /// Start a resize if the load factor crossed the threshold and no
+    /// migration is already live.
+    fn maybe_start_resize(&self) {
+        let r = &self.buckets;
+        // Cheap pre-check outside the lock; re-checked under it.
+        let [cur, prev, _, _] = r.meta.load();
+        if prev != NO_TABLE {
+            return;
+        }
+        let buckets = r.tables.get(cur).len() as u64;
+        if r.count.load_consistent() * 1000 <= buckets * r.max_load_permille {
+            return;
+        }
+        let next_slot = (cur + 1) as usize;
+        if next_slot >= MAX_TABLES {
+            return;
+        }
+        // The doubled table is allocated outside the critical section; the
+        // CS only installs and publishes it. Lock-only: installing a table
+        // is a real (non-rollback-able) side effect, so it must not run
+        // inside a hardware transaction.
+        let mut fresh = Some(Table::new(buckets as usize * 2));
+        self.lock.cs_plain(
+            scope!("ShardedMap::resize"),
+            CsOptions::new().without_htm(),
+            |_cs| {
+                let [cur2, prev2, _, epoch] = r.meta.load();
+                if cur2 != cur || prev2 != NO_TABLE {
+                    return;
+                }
+                if r.count.get() * 1000 <= buckets * r.max_load_permille {
+                    return;
+                }
+                let Some(table) = fresh.take() else { return };
+                if !r.tables.install(next_slot, table) {
+                    return;
+                }
+                // Publication order: the slot is populated (release) before
+                // the metadata names it.
+                r.meta.store([next_slot as u64, cur2, 0, epoch + 1]);
+            },
+        );
     }
 }
 
@@ -353,7 +623,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
 /// Values are `Copy` and at most 16 bytes (they live in [`HtmCell`]s);
 /// keys are `u64`.
 pub struct AleShardedMap<V: Copy + Default + Send + 'static> {
-    shards: Vec<Shard<V>>,
+    shards: Vec<Shard<V, Resizing>>,
     /// `64 - log2(shards)`; unused when there is a single shard.
     shard_shift: u32,
     migrate_steps: usize,
@@ -362,27 +632,25 @@ pub struct AleShardedMap<V: Copy + Default + Send + 'static> {
 impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// Create a map registered with `ale`, one lock per shard labelled
     /// `shard00`, `shard01`, …
+    ///
+    /// Panics if `config.max_load_permille` is 0: every shard holding a
+    /// key would then double its table after each migration.
     pub fn new(ale: &Arc<Ale>, config: ShardedMapConfig) -> Self {
+        assert!(
+            config.max_load_permille > 0,
+            "max_load_permille must be positive"
+        );
         let shards = config.shards.next_power_of_two().clamp(1, MAX_SHARDS);
         let stripes = config.version_stripes.next_power_of_two();
         let shard_shift = 64 - shards.trailing_zeros();
         let shards = (0..shards)
             .map(|i| {
-                let shard = Shard {
-                    lock: ale.new_lock(SHARD_LABELS[i], SpinLock::new()),
-                    slab: NodeSlab::with_capacity(config.capacity_per_shard),
-                    vers: (0..stripes)
-                        .map(|_| CachePadded::new(SeqVersion::new()))
-                        .collect(),
-                    ver_mask: stripes - 1,
-                    tables: TableSet::new(Table::new(config.buckets_per_shard)),
-                    meta: SeqBuffer::new(),
-                    count: HtmCell::new(0),
-                    max_load_permille: config.max_load_permille,
-                };
-                // Initial metadata: current table in slot 0, no migration.
-                shard.meta.store([0, NO_TABLE, 0, 0]);
-                shard
+                Shard::new(
+                    ale.new_lock(SHARD_LABELS[i], SpinLock::new()),
+                    config.capacity_per_shard,
+                    stripes,
+                    Resizing::new(config.buckets_per_shard, config.max_load_permille),
+                )
             })
             .collect();
         AleShardedMap {
@@ -416,73 +684,38 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
 
     /// `get` under a caller-chosen scope.
     pub fn get_scoped(&self, scope: &'static ScopeId, key: u64, ret_val: &mut V) -> bool {
-        let s = &self.shards[self.shard_of(key)];
-        let hash = hash_of(key);
-        s.lock.cs(
-            scope,
-            CsOptions::new().with_swopt().non_conflicting(),
-            |cs| {
-                if cs.is_swopt() {
-                    match s.get_swopt(hash, key, ret_val) {
-                        Some(found) => CsOutcome::Done(found),
-                        None => CsOutcome::SwOptFail,
-                    }
-                } else {
-                    CsOutcome::Done(s.get_locked(hash, key, ret_val))
-                }
-            },
-        )
+        self.shards[self.shard_of(key)].get(scope, key, ret_val)
     }
 
     /// Insert `key → val`, overwriting any existing value. Returns true if
     /// the key was newly inserted. Piggybacks migration steps and the
     /// resize trigger for the owning shard.
     pub fn insert(&self, key: u64, val: V) -> bool {
-        let si = self.shard_of(key);
-        let s = &self.shards[si];
-        let hash = hash_of(key);
-        // Allocate and fill the node *outside* the critical section.
-        let new_id = s.slab.alloc(key, val);
-        let inserted = s
-            .lock
-            .cs_plain(scope!("ShardedMap::insert"), CsOptions::new(), |cs| {
-                s.insert_locked(cs, hash, key, val, new_id)
-            });
-        if !inserted {
-            s.slab.free(new_id);
-        }
-        self.advance_migration(si);
-        self.maybe_start_resize(si);
+        let s = &self.shards[self.shard_of(key)];
+        let inserted = s.insert(scope!("ShardedMap::insert"), key, val);
+        self.advance_migration(s);
+        s.maybe_start_resize();
         inserted
     }
 
     /// Remove `key`. Returns whether it was present. Piggybacks migration
     /// steps for the owning shard.
     pub fn remove(&self, key: u64) -> bool {
-        let si = self.shard_of(key);
-        let s = &self.shards[si];
-        let hash = hash_of(key);
-        let removed = s
-            .lock
-            .cs_plain(scope!("ShardedMap::remove"), CsOptions::new(), |cs| {
-                s.remove_locked(cs, hash, key)
-            });
-        let out = match removed {
-            Some(id) => {
-                // Recycle only after the unlink committed.
-                s.slab.free(id);
-                true
-            }
-            None => false,
-        };
-        self.advance_migration(si);
-        out
+        let s = &self.shards[self.shard_of(key)];
+        let removed = s.remove(scope!("ShardedMap::remove"), key);
+        self.advance_migration(s);
+        removed
     }
 
-    /// Drive up to `migrate_steps_per_op` chain moves on shard `si`.
-    fn advance_migration(&self, si: usize) {
+    /// Drive up to `migrate_steps_per_op` chain moves on `s`. Most writes
+    /// find no migration live, and pay one metadata load for it instead
+    /// of a critical section (`migrate_step` re-checks under the lock).
+    fn advance_migration(&self, s: &Shard<V, Resizing>) {
+        if self.migrate_steps == 0 || !s.migrating() {
+            return;
+        }
         for _ in 0..self.migrate_steps {
-            if !self.migrate_step(si) {
+            if !s.migrate_step() {
                 break;
             }
         }
@@ -492,58 +725,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// critical section. Returns true if a chain was moved (i.e. a
     /// migration was live). Public so tests can single-step a migration.
     pub fn migrate_step(&self, si: usize) -> bool {
-        let s = &self.shards[si];
-        s.lock
-            .cs_plain(scope!("ShardedMap::migrate"), CsOptions::new(), |cs| {
-                s.migrate_step_in_cs(cs)
-            })
-    }
-
-    /// Start a resize on shard `si` if its load factor crossed the
-    /// threshold and no migration is already live.
-    fn maybe_start_resize(&self, si: usize) {
-        let s = &self.shards[si];
-        if s.max_load_permille == 0 {
-            return;
-        }
-        // Cheap pre-check outside the lock; re-checked under it.
-        let [cur, prev, _, _] = s.meta.load();
-        if prev != NO_TABLE {
-            return;
-        }
-        let buckets = s.tables.get(cur).len() as u64;
-        if s.count.load_consistent() * 1000 <= buckets * s.max_load_permille {
-            return;
-        }
-        let next_slot = (cur + 1) as usize;
-        if next_slot >= MAX_TABLES {
-            return;
-        }
-        // The doubled table is allocated outside the critical section; the
-        // CS only installs and publishes it. Lock-only: installing a table
-        // is a real (non-rollback-able) side effect, so it must not run
-        // inside a hardware transaction.
-        let mut fresh = Some(Table::new(buckets as usize * 2));
-        s.lock.cs_plain(
-            scope!("ShardedMap::resize"),
-            CsOptions::new().without_htm(),
-            |_cs| {
-                let [cur2, prev2, _, epoch] = s.meta.load();
-                if cur2 != cur || prev2 != NO_TABLE {
-                    return;
-                }
-                if s.count.get() * 1000 <= buckets * s.max_load_permille {
-                    return;
-                }
-                let Some(table) = fresh.take() else { return };
-                if !s.tables.install(next_slot, table) {
-                    return;
-                }
-                // Publication order: the slot is populated (release) before
-                // the metadata names it.
-                s.meta.store([next_slot as u64, cur2, 0, epoch + 1]);
-            },
-        );
+        self.shards[si].migrate_step()
     }
 
     /// Key count via per-shard Lock-mode sweeps (diagnostics/tests only).
@@ -555,44 +737,23 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
 
     /// Key count of one shard via a Lock-mode sweep over both tables.
     pub fn shard_len_slow(&self, si: usize) -> usize {
-        let s = &self.shards[si];
-        s.lock.cs_plain(
-            scope!("ShardedMap::len"),
-            CsOptions::new().without_htm(),
-            |_| {
-                let [cur, prev, _, _] = s.meta.load();
-                let mut n = 0;
-                let mut sweep = |t: &Table| {
-                    for head in t.heads() {
-                        s.slab.sweep(head, |_| n += 1);
-                    }
-                };
-                sweep(s.tables.get(cur));
-                if prev != NO_TABLE {
-                    // Chains below the cursor must already be empty; sweep
-                    // the whole table so a violated invariant shows up as a
-                    // count mismatch.
-                    sweep(s.tables.get(prev));
-                }
-                n
-            },
-        )
+        self.shards[si].len_slow(scope!("ShardedMap::len"))
     }
 
     /// The shard's live-key counter cell (quiescent diagnostics).
     pub fn shard_live_count(&self, si: usize) -> u64 {
-        self.shards[si].count.load_consistent()
+        self.shards[si].buckets.count.load_consistent()
     }
 
     /// The published migration state of shard `si`:
     /// `[cur_slot, prev_slot | NO_TABLE, cursor, epoch]`.
     pub fn migration_state(&self, si: usize) -> [u64; 4] {
-        self.shards[si].meta.load()
+        self.shards[si].buckets.meta.load()
     }
 
     /// Is a migration currently live on shard `si`?
     pub fn migration_in_progress(&self, si: usize) -> bool {
-        self.migration_state(si)[1] != NO_TABLE
+        self.shards[si].migrating()
     }
 
     /// Is any shard mid-migration?
@@ -609,11 +770,11 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
             scope!("ShardedMap::invariant"),
             CsOptions::new().without_htm(),
             |_| {
-                let [_, prev, cursor, _] = s.meta.load();
+                let [_, prev, cursor, _] = s.buckets.meta.load();
                 if prev == NO_TABLE {
                     return true;
                 }
-                let prevt = s.tables.get(prev);
+                let prevt = s.buckets.tables.get(prev);
                 (0..(cursor as usize).min(prevt.len())).all(|i| prevt.bucket(i).get() == NIL)
             },
         )
@@ -622,10 +783,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// Are all version stripes and table-pointer versions even (no
     /// conflicting region left open)?
     pub fn versions_even(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.vers.iter().all(|v| v.read(false).is_multiple_of(2))
-                && s.meta.version().read(false).is_multiple_of(2)
-        })
+        self.shards.iter().all(Shard::versions_even)
     }
 
     /// The ALE lock protecting shard `si` (reports, baselines).
@@ -734,6 +892,44 @@ mod tests {
             assert!(map.get(key, &mut v));
             assert_eq!(v, key);
         }
+    }
+
+    /// Writes to a shard whose table never needs to grow enter no
+    /// migration critical section: piggyback migration checks for a live
+    /// migration first (each such section is a Lock-mode acquisition under
+    /// a static SWOpt+Lock policy).
+    #[test]
+    fn writes_without_a_live_migration_take_no_migration_section() {
+        let ale = ale();
+        let map: AleShardedMap<u64> = AleShardedMap::new(&ale, ShardedMapConfig::new(1));
+        for key in 0..32u64 {
+            assert!(map.insert(key, key));
+            assert!(map.remove(key));
+        }
+        assert_eq!(
+            map.migration_state(0)[3],
+            0,
+            "32 keys never trip 128 buckets"
+        );
+        let migrate: u64 = ale
+            .report()
+            .locks
+            .iter()
+            .flat_map(|l| &l.granules)
+            .filter(|g| g.context.contains("ShardedMap::migrate"))
+            .map(|g| g.executions)
+            .sum();
+        assert_eq!(
+            migrate, 0,
+            "a write entered a migration section with none live"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "max_load_permille must be positive")]
+    fn zero_max_load_is_rejected() {
+        let cfg = ShardedMapConfig::new(1).with_max_load_permille(0);
+        let _: AleShardedMap<u64> = AleShardedMap::new(&ale(), cfg);
     }
 
     #[test]

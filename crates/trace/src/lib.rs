@@ -256,7 +256,10 @@ pub fn drain() -> Drained {
 }
 
 /// Trace state is process-global; tests that reconfigure it must not
-/// overlap (mirrors `ale-sync`'s watchdog guard).
+/// overlap (mirrors `ale-sync`'s watchdog guard). Pinned-digest tests take
+/// it too: the emulated HTM's version clock is process-global, so a
+/// simulation running beside another would see its clock traffic
+/// (DESIGN.md §5.1, I3) and a pin could flake.
 pub fn test_serial() -> std::sync::MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(|p| p.into_inner())

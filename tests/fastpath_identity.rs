@@ -15,6 +15,9 @@
 //!
 //! BLESS=1 prints the constants instead of failing — re-bless only for a
 //! change that *means* to alter schedules.
+//!
+//! Each test holds [`ale_trace::test_serial`]: one simulation at a time in
+//! this binary, so none sees another's HTM clock traffic.
 
 use ale_bench::{run_hashmap, HashMapWorkload, RunResult, Variant};
 use ale_vtime::Platform;
@@ -59,6 +62,7 @@ fn csv(r: &RunResult) -> String {
 
 #[test]
 fn fig2_cell_is_bit_identical_across_the_fastpath_refactor() {
+    let _g = ale_trace::test_serial();
     let bless = std::env::var_os("BLESS").is_some();
     let r = fig2_shaped_cell();
     if bless {
@@ -79,6 +83,7 @@ fn fig2_cell_is_bit_identical_across_the_fastpath_refactor() {
 
 #[test]
 fn static_cell_is_bit_identical_across_the_fastpath_refactor() {
+    let _g = ale_trace::test_serial();
     let bless = std::env::var_os("BLESS").is_some();
     let r = static_cell();
     if bless {
@@ -97,6 +102,7 @@ fn static_cell_is_bit_identical_across_the_fastpath_refactor() {
 /// deterministic, or the pins above prove nothing.
 #[test]
 fn fig2_cell_is_deterministic_within_a_build() {
+    let _g = ale_trace::test_serial();
     let a = fig2_shaped_cell();
     let b = fig2_shaped_cell();
     assert_eq!(a.makespan_ns, b.makespan_ns);

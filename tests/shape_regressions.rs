@@ -4,6 +4,9 @@
 //! check *who wins and by roughly what factor* — the reproduction's
 //! success criterion — so a regression in any layer (HTM emulation, locks,
 //! driver, policies, simulator) that bends a curve fails loudly here.
+//!
+//! Each simulating test holds [`ale_trace::test_serial`]: one simulation at
+//! a time in this binary, so none sees another's HTM clock traffic.
 
 use ale_bench::{run_hashmap, run_kyoto, HashMapWorkload, Variant};
 use ale_kyoto::WickedConfig;
@@ -21,6 +24,7 @@ fn mops_hashmap(platform: Platform, variant: Variant, threads: usize, w: &HashMa
 /// §5: TLE scales on HTM platforms while the plain lock stays flat.
 #[test]
 fn tle_scales_where_lock_does_not() {
+    let _g = ale_trace::test_serial();
     let w = HashMapWorkload::read_heavy(16 * 1024);
     let lock1 = mops_hashmap(Platform::haswell(), Variant::Instrumented, 1, &w);
     let lock8 = mops_hashmap(Platform::haswell(), Variant::Instrumented, 8, &w);
@@ -44,6 +48,7 @@ fn tle_scales_where_lock_does_not() {
 /// workloads even with no HTM at all (T2-2).
 #[test]
 fn swopt_scales_without_htm() {
+    let _g = ale_trace::test_serial();
     let w = HashMapWorkload::read_heavy(16 * 1024);
     let sl1 = mops_hashmap(Platform::t2(), Variant::StaticSl(10), 1, &w);
     let sl32 = mops_hashmap(Platform::t2(), Variant::StaticSl(10), 32, &w);
@@ -59,6 +64,7 @@ fn swopt_scales_without_htm() {
 /// the HTM-vs-SWOpt gap must widen with the mutation rate.
 #[test]
 fn mutation_hurts_swopt_more_than_htm() {
+    let _g = ale_trace::test_serial();
     // HL's advantage over SL must *widen* as the mutation rate grows.
     let read_heavy = HashMapWorkload::read_heavy(16 * 1024);
     let mutate_heavy = HashMapWorkload::mutate_heavy(16 * 1024);
@@ -79,6 +85,7 @@ fn mutation_hurts_swopt_more_than_htm() {
 /// without tuning — on both an HTM platform and a non-HTM platform.
 #[test]
 fn adaptive_is_competitive_with_best_static() {
+    let _g = ale_trace::test_serial();
     let w = HashMapWorkload::read_heavy(16 * 1024);
     for (platform, statics, adaptive) in [
         (
@@ -113,6 +120,7 @@ fn adaptive_is_competitive_with_best_static() {
 /// loss — Instrumented tracks Uninstrumented within ~2.5×.
 #[test]
 fn instrumentation_overhead_is_bounded() {
+    let _g = ale_trace::test_serial();
     let w = HashMapWorkload::read_heavy(16 * 1024);
     for t in [1usize, 8] {
         let base = mops_hashmap(Platform::haswell(), Variant::Uninstrumented, t, &w);
@@ -128,6 +136,7 @@ fn instrumentation_overhead_is_bounded() {
 /// scale, while trylockspin wins at one thread (no elision overhead).
 #[test]
 fn kyoto_crossover_matches_paper() {
+    let _g = ale_trace::test_serial();
     let cfg = WickedConfig {
         key_space: 8 * 1024,
         count_permille: 0,
@@ -178,6 +187,7 @@ fn kyoto_crossover_matches_paper() {
 /// X — it does not burn dozens of doomed retries.
 #[test]
 fn adaptive_learns_small_x_on_rock() {
+    let _g = ale_trace::test_serial();
     let w = HashMapWorkload::mutate_heavy(16 * 1024);
     let r = run_hashmap(
         Platform::rock(),
@@ -269,6 +279,7 @@ fn mops_at(
 /// flat lock curve, and TLE scaling past the lock at full cores.
 #[test]
 fn fig2_csv_golden_shape() {
+    let _g = ale_trace::test_serial();
     let table = ale_bench::figures::fig2(ale_bench::figures::FigOpts {
         quick: true,
         ..Default::default()
@@ -305,6 +316,7 @@ fn fig2_csv_golden_shape() {
 /// scale — visible in the emitted rows.
 #[test]
 fn fig5_csv_golden_shape() {
+    let _g = ale_trace::test_serial();
     let table = ale_bench::figures::fig5(ale_bench::figures::FigOpts {
         quick: true,
         ..Default::default()
@@ -357,6 +369,7 @@ fn fig5_csv_golden_shape() {
 /// full doomed retry budget for the storm's whole duration.
 #[test]
 fn storm_breaker_recovers_throughput() {
+    let _g = ale_trace::test_serial();
     use ale_bench::{run_storm, StormConfig};
     let on = run_storm(&StormConfig::quick(Platform::haswell(), 4, true, 7));
     let off = run_storm(&StormConfig::quick(Platform::haswell(), 4, false, 7));
@@ -400,6 +413,7 @@ fn tracing_defaults_to_off() {
 /// Determinism: the whole stack replays bit-identically for a fixed seed.
 #[test]
 fn end_to_end_determinism() {
+    let _g = ale_trace::test_serial();
     let w = HashMapWorkload::mutate_heavy(4 * 1024);
     let run = || {
         let r = run_hashmap(
