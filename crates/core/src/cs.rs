@@ -14,9 +14,9 @@
 //! execution detected interference and wants the driver to retry (§3.2's
 //! loop around `GetImp<true>`).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::mem::ManuallyDrop;
 
-use ale_htm::{mutated, AbortCode, BreakerTransition, Mutation};
+use ale_htm::{mutated, AbortCode, BreakerTransition, Mutation, StormBreaker};
 use ale_sync::Backoff;
 use ale_vtime::{now, Rng};
 
@@ -203,23 +203,33 @@ fn defer_now(ale: &Ale, rng: &mut Rng) -> bool {
     p >= 1000 || rng.gen_ratio(p, 1000)
 }
 
-/// Trace hook: one `ModeDecision` record per completed execution. The
-/// enabled-check keeps label interning (a mutex) off the disabled path; the
-/// `TraceDropEvent` self-test mutation skips SWOpt completions so
-/// ale-check can prove the trace-digest oracle notices a dropped emit.
+/// Trace hook: one `ModeDecision` record per completed execution `rec`.
+/// The enabled-check keeps label interning (a mutex) and the reason off
+/// the disabled path; the `TraceDropEvent` self-test mutation skips SWOpt
+/// completions so ale-check can prove the trace-digest oracle notices a
+/// dropped emit.
 #[inline]
-fn trace_mode_decision(meta: &LockMeta, mode: ExecMode, why: u8, attempts: u64) {
+fn trace_mode_decision(meta: &LockMeta, rec: &ExecRecord, reentrant: bool) {
     if !ale_trace::is_enabled() {
         return;
     }
+    let Some(mode) = rec.mode else { return };
     if mutated(Mutation::TraceDropEvent) && mode == ExecMode::SwOpt {
         return;
     }
+    let tried = rec.htm_attempts + rec.swopt_attempts;
+    let why = match mode {
+        ExecMode::Htm => ale_trace::reason::HTM_COMMIT,
+        ExecMode::SwOpt => ale_trace::reason::SWOPT_COMMIT,
+        ExecMode::Lock if reentrant => ale_trace::reason::LOCK_REENTRANT,
+        ExecMode::Lock if tried > 0 || rec.breaker_tripped => ale_trace::reason::LOCK_FALLBACK,
+        ExecMode::Lock => ale_trace::reason::LOCK_PLANNED,
+    };
     ale_trace::emit(ale_trace::TraceEvent::mode_decision(
         ale_trace::label_id(meta.label()),
         mode.index() as u8,
         why,
-        attempts,
+        (tried + u32::from(mode == ExecMode::Lock)) as u64,
     ));
 }
 
@@ -229,26 +239,6 @@ fn hold_satisfies(held: HeldKind, required: HeldKind) -> bool {
         (HeldKind::Excl, _) => true,
         (HeldKind::Shared, HeldKind::Shared) => true,
         (HeldKind::Shared, HeldKind::Excl) => false,
-    }
-}
-
-/// Release-on-drop guard so Lock mode unwinds cleanly.
-struct ReleaseGuard<'a, O: LockOps + ?Sized> {
-    t: &'a CsThread,
-    ops: &'a O,
-    lock_key: usize,
-}
-
-impl<O: LockOps + ?Sized> Drop for ReleaseGuard<'_, O> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // A panicking note_released here would double-panic and abort
-            // the process; use the tolerant variant on the unwind path.
-            self.t.note_released_on_unwind(self.lock_key);
-        } else {
-            self.t.note_released(self.lock_key);
-        }
-        self.ops.release();
     }
 }
 
@@ -411,413 +401,356 @@ fn run_protocol<T, O: LockOps + ?Sized>(
     rec: &mut ExecRecord,
     sink: &mut StatSink<'_>,
 ) -> T {
-    // --------------------------- HTM mode ------------------------------
-    let breaker = granule.breaker.as_ref();
-    let htm_denied = plan.htm_attempts > 0 && breaker.is_some_and(|b| !b.allow());
-    if htm_denied {
-        // The circuit is open after an abort storm: go straight to the
-        // fallback modes; once the cool-down expires a later execution
-        // flips the circuit half-open and the cohort probes HTM again.
-        rec.breaker_tripped = true;
-    }
-    if plan.htm_attempts > 0 && !htm_denied {
-        let mut budget = plan.htm_attempts.saturating_mul(LOCK_HELD_WEIGHT);
-        let mut backoff = Backoff::with_max_exp(8);
-        let profile = ale
-            .htm_profile()
-            .expect("plan.htm_attempts > 0 without HTM");
-        while budget > 0 {
-            // Preamble: wait for the lock to be free (unless we hold it —
-            // then the check is skipped entirely, §4.1).
-            if !reentrant {
-                let mut wait = Backoff::with_max_exp(8);
-                while ops.is_conflicting_locked() {
-                    wait.spin();
-                }
-            }
-            if opts.conflicting && use_grouping && defer_now(ale, rng) {
-                meta.grouping.wait_for_swopt_retries();
-            }
-
-            rec.htm_attempts += 1;
-            sink.record_attempt(ExecMode::Htm);
-            emit(CsEvent::Attempt {
-                lock: meta.label(),
-                mode: ExecMode::Htm,
-            });
-            let t0 = measure.then(now);
-            let force_bump = ale.config().force_version_bump;
-            let attempted = catch_unwind(AssertUnwindSafe(|| {
-                // The frame-recording push can reallocate its thread-local
-                // Vec; in the emulated HTM that is harmless, and on real
-                // hardware the stack is warmed past nesting depth 2 within
-                // the first few sections, so steady-state bodies never grow
-                // it. Accepted, not a hygiene bug.
-                // ale-lint: allow(htm-body-hygiene-transitive)
-                ale_htm::attempt(profile, rng, || {
-                    // Self-test mutation (`LazySubscription`): skipping
-                    // the in-transaction lock subscription is the classic
-                    // unsafe-TLE bug (Dice et al.) — ale-check's oracles
-                    // must catch it.
-                    if !mutated(Mutation::LazySubscription)
-                        && !reentrant
-                        && ops.is_conflicting_locked()
-                    {
-                        // Subscribed and held: abort, possibly retry later.
-                        ale_htm::explicit_abort(AbortCode::LOCK_HELD);
-                    }
-                    t.with_frame(lock_key, ExecMode::Htm, || {
-                        body(&CsCtx {
-                            mode: ExecMode::Htm,
-                            meta,
-                            force_bump,
-                        })
-                    })
-                })
-            }));
-            let result = match attempted {
-                Ok(r) => r,
-                Err(payload) => {
-                    // The body panicked. The engine has already torn the
-                    // transaction down: speculative writes (including any
-                    // buffered region bumps) are discarded, so no region is
-                    // left open and no parity is broken. Tell the breaker
-                    // (a panicking probe is still a failed attempt) and
-                    // re-raise.
-                    if let Some(b) = breaker {
-                        b.record_abort(false, rng);
-                    }
-                    emit(CsEvent::Panicked {
-                        lock: meta.label(),
-                        mode: ExecMode::Htm,
-                    });
-                    resume_unwind(payload);
-                }
-            };
-            match result {
-                Ok(CsOutcome::Done(v)) => {
-                    if let Some(b) = breaker {
-                        if b.record_commit() == BreakerTransition::Restored {
-                            // Breaker edge: force a replan (harmless — the
-                            // plan itself never reads breaker state, but the
-                            // ISSUE contract says edges repack the word).
-                            granule.plan_cache.invalidate();
-                            emit(CsEvent::BreakerRestore { lock: meta.label() });
-                        }
-                    }
-                    sink.record_success(ExecMode::Htm);
-                    if let Some(t0) = t0 {
-                        granule.stats.success_time[ExecMode::Htm.index()]
-                            .add_duration(now().saturating_sub(t0));
-                    }
-                    rec.mode = Some(ExecMode::Htm);
-                    emit(CsEvent::Complete {
-                        lock: meta.label(),
-                        mode: ExecMode::Htm,
-                    });
-                    trace_mode_decision(
-                        meta,
-                        ExecMode::Htm,
-                        ale_trace::reason::HTM_COMMIT,
-                        rec.htm_attempts as u64,
-                    );
-                    return v;
-                }
-                Ok(CsOutcome::SwOptFail | CsOutcome::SwOptSelfAbort) => {
-                    // Mode-protocol violation: the transaction committed,
-                    // yet the body claimed a SWOpt outcome. `SwOptFail`
-                    // promises the attempt had no harmful side effects, so
-                    // abandoning HTM and re-running via the fallback path
-                    // is safe.
-                    debug_assert!(false, "{}", CsProtocolError::SwOptOutcomeInHtm);
-                    emit(CsEvent::ProtocolError {
-                        lock: meta.label(),
-                        error: CsProtocolError::SwOptOutcomeInHtm,
-                    });
-                    break;
-                }
-                Err(status) => {
-                    emit(CsEvent::HtmAbort {
-                        lock: meta.label(),
-                        code: status.code,
-                    });
-                    if ale_trace::is_enabled() {
-                        ale_trace::emit(ale_trace::TraceEvent::htm_abort(
-                            ale_trace::label_id(meta.label()),
-                            status.code.class(),
-                            status.code.detail(),
-                            status.may_retry,
-                            rec.htm_attempts as u64,
-                        ));
-                    }
-                    if let Some(t0) = t0 {
-                        rec.htm_fail_ns += now().saturating_sub(t0);
-                    }
-                    // Classify the abort; lock-held aborts are budgeted
-                    // lightly to avoid the cascade effect (§4).
-                    let lock_held = status.code.is_lock_held()
-                        || (status.code == AbortCode::Conflict && ops.is_conflicting_locked());
-                    if lock_held {
-                        sink.record_lock_held_abort();
-                        rec.lock_held_aborts += 1;
-                        budget = budget.saturating_sub(1);
-                    } else {
-                        match status.code {
-                            AbortCode::Capacity => {
-                                sink.record_capacity_abort();
-                                rec.capacity_abort = true;
-                                budget = 0; // retrying cannot help
-                            }
-                            AbortCode::Explicit(ABORT_NESTED_NO_HTM) => {
-                                budget = 0; // a nested CS forbids HTM
-                            }
-                            AbortCode::Explicit(ABORT_PROTOCOL) => {
-                                // A flattened nested critical section hit a
-                                // mode-protocol violation: retrying in HTM
-                                // would just hit it again.
-                                emit(CsEvent::ProtocolError {
-                                    lock: meta.label(),
-                                    error: CsProtocolError::SwOptOutcomeInHtm,
-                                });
-                                budget = 0;
-                            }
-                            AbortCode::Explicit(AbortCode::TX_UNFRIENDLY) => {
-                                // The body needs something transactions
-                                // cannot do (an internal mutex, allocation
-                                // fallback): no point retrying in HTM.
-                                budget = 0;
-                            }
-                            AbortCode::Conflict => {
-                                sink.record_conflict_abort();
-                                budget = budget.saturating_sub(LOCK_HELD_WEIGHT);
-                            }
-                            _ => {
-                                sink.record_spurious_abort();
-                                budget = budget.saturating_sub(LOCK_HELD_WEIGHT);
-                            }
-                        }
-                    }
-                    // Feed the breaker: conflict/capacity aborts that are
-                    // not attributable to a lock acquisition are what a
-                    // storm is made of.
-                    if let Some(b) = breaker {
-                        let storm = !lock_held
-                            && matches!(status.code, AbortCode::Conflict | AbortCode::Capacity);
-                        if b.record_abort(storm, rng) == BreakerTransition::Tripped {
-                            granule.plan_cache.invalidate();
-                            emit(CsEvent::BreakerTrip { lock: meta.label() });
-                        }
-                        // An Open breaker ends this execution's HTM
-                        // attempts: whether a fresh trip or a failed probe
-                        // cohort, go straight to the fallback — a commit
-                        // while the circuit is open would count nowhere
-                        // and never restore HTM.
-                        if b.state() == ale_htm::BreakerState::Open {
-                            budget = 0;
-                        }
-                    }
-                    backoff.spin();
-                }
-            }
-        }
-        rec.htm_gave_up = true;
-    }
-    let fallback_start = (measure && rec.htm_gave_up).then(now);
-    let finish = |rec: &mut ExecRecord| {
-        if let Some(fs) = fallback_start {
-            rec.fallback_ns = Some(now().saturating_sub(fs));
-        }
-    };
-
-    // -------------------------- SWOpt mode -----------------------------
-    if plan.swopt_attempts > 0 {
-        // Register as an active SWOpt executor for the whole execution so
-        // COULD_SWOPT_BE_RUNNING covers us (§3.3).
-        let _active = meta.grouping.swopt_active();
-        let mut retry_guard = None;
-        let mut backoff = Backoff::with_max_exp(6);
-        for _ in 0..plan.swopt_attempts {
-            rec.swopt_attempts += 1;
-            sink.record_attempt(ExecMode::SwOpt);
-            emit(CsEvent::Attempt {
-                lock: meta.label(),
-                mode: ExecMode::SwOpt,
-            });
-            let t0 = measure.then(now);
-            let force_bump = ale.config().force_version_bump;
-            let region_mark = ale_sync::open_region_count();
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                t.with_frame(lock_key, ExecMode::SwOpt, || {
-                    body(&CsCtx {
-                        mode: ExecMode::SwOpt,
-                        meta,
-                        force_bump,
-                    })
-                })
-            })) {
-                Ok(o) => o,
-                Err(payload) => {
-                    // No lock is held in SWOpt mode, so there is nothing to
-                    // poison — but a body that reached a conflicting region
-                    // (erroneously, or via self-abort-style code that then
-                    // panicked) must not leave odd versions behind.
-                    close_regions_after_panic(region_mark);
-                    emit(CsEvent::Panicked {
-                        lock: meta.label(),
-                        mode: ExecMode::SwOpt,
-                    });
-                    resume_unwind(payload);
-                }
-            };
-            match outcome {
-                CsOutcome::Done(v) => {
-                    sink.record_success(ExecMode::SwOpt);
-                    if let Some(t0) = t0 {
-                        granule.stats.success_time[ExecMode::SwOpt.index()]
-                            .add_duration(now().saturating_sub(t0));
-                    }
-                    rec.mode = Some(ExecMode::SwOpt);
-                    emit(CsEvent::Complete {
-                        lock: meta.label(),
-                        mode: ExecMode::SwOpt,
-                    });
-                    trace_mode_decision(
-                        meta,
-                        ExecMode::SwOpt,
-                        ale_trace::reason::SWOPT_COMMIT,
-                        (rec.htm_attempts + rec.swopt_attempts) as u64,
-                    );
-                    finish(rec);
-                    return v;
-                }
-                CsOutcome::SwOptFail => {
-                    sink.record_swopt_fail();
-                    emit(CsEvent::SwOptFail { lock: meta.label() });
-                    if use_grouping && retry_guard.is_none() {
-                        // Announce "SWOpt retrying" so conflicting
-                        // executions defer to us (§4.2 grouping).
-                        retry_guard = Some(meta.grouping.swopt_retrying());
-                    }
-                    backoff.spin();
-                }
-                CsOutcome::SwOptSelfAbort => {
-                    // Self abort (§3.3): stop optimistic attempts and fall
-                    // through to Lock mode immediately.
-                    sink.record_swopt_fail();
-                    emit(CsEvent::SwOptFail { lock: meta.label() });
-                    break;
-                }
-            }
-        }
-    }
-
-    // --------------------------- Lock mode -----------------------------
-    if opts.conflicting && use_grouping && defer_now(ale, rng) {
-        meta.grouping.wait_for_swopt_retries();
-    }
-    sink.record_attempt(ExecMode::Lock);
-    emit(CsEvent::Attempt {
-        lock: meta.label(),
-        mode: ExecMode::Lock,
-    });
-    let t0 = measure.then(now);
+    // The one attempt path, in three pieces every mode shares: `begin`
+    // counts and reports the attempt, `guard` arms its unwind path, and
+    // `run_body` runs the body under a frame recording (lock, mode).
     let force_bump = ale.config().force_version_bump;
-    let outcome = if reentrant {
-        // We already hold a satisfying lock: run without re-acquiring. On a
-        // panic, close this level's regions and re-raise; the enclosing
-        // Lock-mode execution poisons and releases.
-        let region_mark = ale_sync::open_region_count();
-        match catch_unwind(AssertUnwindSafe(|| {
-            t.with_frame(lock_key, ExecMode::Lock, || {
-                body(&CsCtx {
-                    mode: ExecMode::Lock,
-                    meta,
-                    force_bump,
-                })
+    let begin = |sink: &mut StatSink<'_>, mode| {
+        sink.record_attempt(mode);
+        emit(CsEvent::Attempt {
+            lock: meta.label(),
+            mode,
+        });
+        measure.then(now)
+    };
+    let guard = |mode, breaker, owns_lock| Unwind {
+        t,
+        meta,
+        ops,
+        lock_key,
+        mode,
+        region_mark: (mode != ExecMode::Htm).then(ale_sync::open_region_count),
+        breaker,
+        owns_lock,
+    };
+    let mut run_body = |mode| {
+        t.with_frame(lock_key, mode, || {
+            body(&CsCtx {
+                mode,
+                meta,
+                force_bump,
             })
-        })) {
-            Ok(o) => o,
-            Err(payload) => {
-                close_regions_after_panic(region_mark);
-                emit(CsEvent::Panicked {
-                    lock: meta.label(),
-                    mode: ExecMode::Lock,
-                });
-                resume_unwind(payload);
-            }
+        })
+    };
+    // SWOpt's registrations live out here so that a SWOpt success keeps
+    // them until after the success tail; a fall-through to Lock mode drops
+    // them first.
+    let mut swopt_active = None;
+    let mut retry_guard = None;
+    let mut fallback_start = None;
+    let (mode, t0, value) = 'done: {
+        // --------------------------- HTM mode ---------------------------
+        let breaker = granule.breaker.as_ref();
+        let htm_denied = plan.htm_attempts > 0 && breaker.is_some_and(|b| !b.allow());
+        if htm_denied {
+            // The circuit is open after an abort storm: go straight to the
+            // fallback modes; once the cool-down expires a later execution
+            // flips the circuit half-open and the cohort probes HTM again.
+            rec.breaker_tripped = true;
         }
-    } else {
-        let kind = acquire_with_watchdog(ale, meta, ops);
-        t.note_acquired(lock_key, kind);
-        let _release = ReleaseGuard { t, ops, lock_key };
-        let region_mark = ale_sync::open_region_count();
-        match catch_unwind(AssertUnwindSafe(|| {
-            t.with_frame(lock_key, ExecMode::Lock, || {
-                body(&CsCtx {
-                    mode: ExecMode::Lock,
-                    meta,
-                    force_bump,
-                })
-            })
-        })) {
-            Ok(o) => o,
-            Err(payload) => {
-                // Order matters: restore seqlock parity while still holding
-                // the lock, poison *before* releasing (the ReleaseGuard
-                // drops as the panic leaves this scope, so a racing entrant
-                // either blocks on the lock or sees the poison flag), then
-                // re-raise the original payload.
-                close_regions_after_panic(region_mark);
-                meta.poison();
-                emit(CsEvent::Panicked {
-                    lock: meta.label(),
-                    mode: ExecMode::Lock,
+        if plan.htm_attempts > 0 && !htm_denied {
+            let mut budget = plan.htm_attempts.saturating_mul(LOCK_HELD_WEIGHT);
+            let mut backoff = Backoff::with_max_exp(8);
+            let profile = ale
+                .htm_profile()
+                .expect("plan.htm_attempts > 0 without HTM");
+            while budget > 0 {
+                // Preamble: wait for the lock to be free (unless we hold it —
+                // then the check is skipped entirely, §4.1).
+                if !reentrant {
+                    let mut wait = Backoff::with_max_exp(8);
+                    while ops.is_conflicting_locked() {
+                        wait.spin();
+                    }
+                }
+                if opts.conflicting && use_grouping && defer_now(ale, rng) {
+                    meta.grouping.wait_for_swopt_retries();
+                }
+
+                rec.htm_attempts += 1;
+                let t0 = begin(sink, ExecMode::Htm);
+                let result = guard(ExecMode::Htm, breaker, false).run(|mode| {
+                    // The frame-recording push can reallocate its
+                    // thread-local Vec; in the emulated HTM that is
+                    // harmless, and on real hardware the stack is warmed
+                    // past nesting depth 2 within the first few sections, so
+                    // steady-state bodies never grow it. Accepted, not a
+                    // hygiene bug.
+                    ale_htm::attempt(profile, rng, || {
+                        // Self-test mutation (`LazySubscription`): skipping
+                        // the in-transaction lock subscription is the
+                        // classic unsafe-TLE bug (Dice et al.) — ale-check's
+                        // oracles must catch it.
+                        if !mutated(Mutation::LazySubscription)
+                            && !reentrant
+                            && ops.is_conflicting_locked()
+                        {
+                            // Subscribed and held: abort, possibly retry.
+                            ale_htm::explicit_abort(AbortCode::LOCK_HELD);
+                        }
+                        run_body(mode)
+                    })
                 });
-                emit(CsEvent::Poisoned { lock: meta.label() });
-                resume_unwind(payload);
+                match result {
+                    Ok(CsOutcome::Done(v)) => {
+                        if let Some(b) = breaker {
+                            if b.record_commit() == BreakerTransition::Restored {
+                                // Breaker edge: force a replan (harmless —
+                                // the plan itself never reads breaker state,
+                                // but an edge must repack the word).
+                                granule.plan_cache.invalidate();
+                                emit(CsEvent::BreakerRestore { lock: meta.label() });
+                            }
+                        }
+                        break 'done (ExecMode::Htm, t0, v);
+                    }
+                    Ok(CsOutcome::SwOptFail | CsOutcome::SwOptSelfAbort) => {
+                        // Mode-protocol violation: the transaction committed,
+                        // yet the body claimed a SWOpt outcome. `SwOptFail`
+                        // promises the attempt had no harmful side effects, so
+                        // abandoning HTM and re-running via the fallback path
+                        // is safe.
+                        debug_assert!(false, "{}", CsProtocolError::SwOptOutcomeInHtm);
+                        emit(CsEvent::ProtocolError {
+                            lock: meta.label(),
+                            error: CsProtocolError::SwOptOutcomeInHtm,
+                        });
+                        break;
+                    }
+                    Err(status) => {
+                        emit(CsEvent::HtmAbort {
+                            lock: meta.label(),
+                            code: status.code,
+                        });
+                        if ale_trace::is_enabled() {
+                            ale_trace::emit(ale_trace::TraceEvent::htm_abort(
+                                ale_trace::label_id(meta.label()),
+                                status.code.class(),
+                                status.code.detail(),
+                                status.may_retry,
+                                rec.htm_attempts as u64,
+                            ));
+                        }
+                        if let Some(t0) = t0 {
+                            rec.htm_fail_ns += now().saturating_sub(t0);
+                        }
+                        // Classify the abort; lock-held aborts are budgeted
+                        // lightly to avoid the cascade effect (§4).
+                        let lock_held = status.code.is_lock_held()
+                            || (status.code == AbortCode::Conflict && ops.is_conflicting_locked());
+                        if lock_held {
+                            sink.record_lock_held_abort();
+                            rec.lock_held_aborts += 1;
+                            budget = budget.saturating_sub(1);
+                        } else {
+                            match status.code {
+                                AbortCode::Capacity => {
+                                    sink.record_capacity_abort();
+                                    rec.capacity_abort = true;
+                                    budget = 0; // retrying cannot help
+                                }
+                                AbortCode::Explicit(ABORT_NESTED_NO_HTM) => {
+                                    budget = 0; // a nested CS forbids HTM
+                                }
+                                AbortCode::Explicit(ABORT_PROTOCOL) => {
+                                    // A flattened nested critical section hit a
+                                    // mode-protocol violation: retrying in HTM
+                                    // would just hit it again.
+                                    emit(CsEvent::ProtocolError {
+                                        lock: meta.label(),
+                                        error: CsProtocolError::SwOptOutcomeInHtm,
+                                    });
+                                    budget = 0;
+                                }
+                                AbortCode::Explicit(AbortCode::TX_UNFRIENDLY) => {
+                                    // The body needs something transactions
+                                    // cannot do (an internal mutex, allocation
+                                    // fallback): no point retrying in HTM.
+                                    budget = 0;
+                                }
+                                AbortCode::Conflict => {
+                                    sink.record_conflict_abort();
+                                    budget = budget.saturating_sub(LOCK_HELD_WEIGHT);
+                                }
+                                _ => {
+                                    sink.record_spurious_abort();
+                                    budget = budget.saturating_sub(LOCK_HELD_WEIGHT);
+                                }
+                            }
+                        }
+                        // Feed the breaker: conflict/capacity aborts that are
+                        // not attributable to a lock acquisition are what a
+                        // storm is made of.
+                        if let Some(b) = breaker {
+                            let storm = !lock_held
+                                && matches!(status.code, AbortCode::Conflict | AbortCode::Capacity);
+                            if b.record_abort(storm, rng) == BreakerTransition::Tripped {
+                                granule.plan_cache.invalidate();
+                                emit(CsEvent::BreakerTrip { lock: meta.label() });
+                            }
+                            // An Open breaker ends this execution's HTM
+                            // attempts: whether a fresh trip or a failed probe
+                            // cohort, go straight to the fallback — a commit
+                            // while the circuit is open would count nowhere
+                            // and never restore HTM.
+                            if b.state() == ale_htm::BreakerState::Open {
+                                budget = 0;
+                            }
+                        }
+                        backoff.spin();
+                    }
+                }
+            }
+            rec.htm_gave_up = true;
+        }
+        fallback_start = (measure && rec.htm_gave_up).then(now);
+
+        // -------------------------- SWOpt mode --------------------------
+        if plan.swopt_attempts > 0 {
+            // Register as an active SWOpt executor for the whole execution
+            // so COULD_SWOPT_BE_RUNNING covers us (§3.3).
+            swopt_active = Some(meta.grouping.swopt_active());
+            let mut backoff = Backoff::with_max_exp(6);
+            for _ in 0..plan.swopt_attempts {
+                rec.swopt_attempts += 1;
+                let t0 = begin(sink, ExecMode::SwOpt);
+                match guard(ExecMode::SwOpt, None, false).run(&mut run_body) {
+                    CsOutcome::Done(v) => break 'done (ExecMode::SwOpt, t0, v),
+                    CsOutcome::SwOptFail => {
+                        sink.record_swopt_fail();
+                        emit(CsEvent::SwOptFail { lock: meta.label() });
+                        if use_grouping && retry_guard.is_none() {
+                            // Announce "SWOpt retrying" so conflicting
+                            // executions defer to us (§4.2 grouping).
+                            retry_guard = Some(meta.grouping.swopt_retrying());
+                        }
+                        backoff.spin();
+                    }
+                    CsOutcome::SwOptSelfAbort => {
+                        // Self abort (§3.3): stop optimistic attempts and
+                        // fall through to Lock mode immediately.
+                        sink.record_swopt_fail();
+                        emit(CsEvent::SwOptFail { lock: meta.label() });
+                        break;
+                    }
+                }
+            }
+            retry_guard = None;
+            swopt_active = None;
+        }
+
+        // --------------------------- Lock mode --------------------------
+        if opts.conflicting && use_grouping && defer_now(ale, rng) {
+            meta.grouping.wait_for_swopt_retries();
+        }
+        let t0 = begin(sink, ExecMode::Lock);
+        // A thread already holding a satisfying lock runs the body without
+        // re-acquiring; the enclosing Lock-mode execution poisons and
+        // releases.
+        if !reentrant {
+            let kind = acquire_with_watchdog(ale, meta, ops);
+            t.note_acquired(lock_key, kind);
+        }
+        match guard(ExecMode::Lock, None, !reentrant).run(&mut run_body) {
+            CsOutcome::Done(v) => (ExecMode::Lock, t0, v),
+            CsOutcome::SwOptFail | CsOutcome::SwOptSelfAbort => {
+                // The body ran to completion under the lock (released by
+                // now) yet claimed a SWOpt outcome. No value exists to
+                // return, so raise the typed error as a catchable panic
+                // payload. The lock is NOT poisoned: the body did not
+                // unwind, so the protected data saw a complete execution.
+                debug_assert!(false, "{}", CsProtocolError::SwOptOutcomeInLock);
+                emit(CsEvent::ProtocolError {
+                    lock: meta.label(),
+                    error: CsProtocolError::SwOptOutcomeInLock,
+                });
+                std::panic::panic_any(CsProtocolError::SwOptOutcomeInLock)
             }
         }
     };
-    match outcome {
-        CsOutcome::Done(v) => {
-            sink.record_success(ExecMode::Lock);
-            if let Some(t0) = t0 {
-                granule.stats.success_time[ExecMode::Lock.index()]
-                    .add_duration(now().saturating_sub(t0));
-            }
-            rec.mode = Some(ExecMode::Lock);
-            emit(CsEvent::Complete {
-                lock: meta.label(),
-                mode: ExecMode::Lock,
-            });
-            let why = if reentrant {
-                ale_trace::reason::LOCK_REENTRANT
-            } else if rec.htm_attempts + rec.swopt_attempts > 0 || rec.breaker_tripped {
-                ale_trace::reason::LOCK_FALLBACK
-            } else {
-                ale_trace::reason::LOCK_PLANNED
-            };
-            trace_mode_decision(
-                meta,
-                ExecMode::Lock,
-                why,
-                (rec.htm_attempts + rec.swopt_attempts + 1) as u64,
-            );
-            finish(rec);
-            v
+
+    // ------------------------- the success tail -------------------------
+    sink.record_success(mode);
+    if let Some(t0) = t0 {
+        granule.stats.success_time[mode.index()].add_duration(now().saturating_sub(t0));
+    }
+    rec.mode = Some(mode);
+    emit(CsEvent::Complete {
+        lock: meta.label(),
+        mode,
+    });
+    trace_mode_decision(meta, rec, reentrant);
+    if let Some(fs) = fallback_start {
+        rec.fallback_ns = Some(now().saturating_sub(fs));
+    }
+    // A SWOpt success leaves its registrations here, after the tail.
+    drop((retry_guard, swopt_active));
+    value
+}
+
+/// The exit path of a body that unwinds, in any mode: [`Unwind::run`] arms
+/// it before the body runs and disarms it (`ManuallyDrop`) when the body
+/// returns, so `Drop` runs only on unwind. It repairs what the body may
+/// have left broken and the panic carries on to the caller untouched. An
+/// HTM body's panic is caught once, by `ale_htm::attempt`, which tears the
+/// transaction down (buffered writes and region bumps discarded) and
+/// re-raises it.
+struct Unwind<'a, O: LockOps + ?Sized> {
+    t: &'a CsThread,
+    meta: &'a LockMeta,
+    ops: &'a O,
+    lock_key: usize,
+    mode: ExecMode,
+    /// Regions open before the body ran; `None` in HTM mode, whose region
+    /// bumps are buffered and die with the transaction.
+    region_mark: Option<usize>,
+    /// HTM mode: a panicking probe still counts as a failed attempt.
+    breaker: Option<&'a StormBreaker>,
+    /// This execution acquired the lock (Lock mode, not re-entered), so it
+    /// releases it on either way out.
+    owns_lock: bool,
+}
+
+impl<O: LockOps + ?Sized> Unwind<'_, O> {
+    /// Run `f` (the body, or a transaction around it) in this guard's mode.
+    #[inline]
+    fn run<R>(self, f: impl FnOnce(ExecMode) -> R) -> R {
+        let r = f(self.mode);
+        let this = ManuallyDrop::new(self);
+        if this.owns_lock {
+            this.t.note_released(this.lock_key);
+            this.ops.release();
         }
-        CsOutcome::SwOptFail | CsOutcome::SwOptSelfAbort => {
-            // The body ran to completion under the lock (released by now)
-            // yet claimed a SWOpt outcome. No value exists to return, so
-            // raise the typed error as a catchable panic payload. The lock
-            // is NOT poisoned: the body did not unwind, so the protected
-            // data saw a complete execution.
-            debug_assert!(false, "{}", CsProtocolError::SwOptOutcomeInLock);
-            emit(CsEvent::ProtocolError {
-                lock: meta.label(),
-                error: CsProtocolError::SwOptOutcomeInLock,
-            });
-            std::panic::panic_any(CsProtocolError::SwOptOutcomeInLock)
+        r
+    }
+}
+
+impl<O: LockOps + ?Sized> Drop for Unwind<'_, O> {
+    /// The body unwound. Order matters: restore seqlock parity while still
+    /// holding the lock, and poison *before* releasing, so a racing entrant
+    /// either blocks on the lock or sees the poison flag.
+    #[cold]
+    fn drop(&mut self) {
+        if let Some(mark) = self.region_mark {
+            close_regions_after_panic(mark);
+        }
+        if let Some(b) = self.breaker {
+            b.record_benign_abort();
+        }
+        let lock = self.meta.label();
+        if self.owns_lock {
+            self.meta.poison();
+        }
+        emit(CsEvent::Panicked {
+            lock,
+            mode: self.mode,
+        });
+        if self.owns_lock {
+            emit(CsEvent::Poisoned { lock });
+            // `note_released` panics on broken bookkeeping, and a second
+            // panic while unwinding aborts the process.
+            self.t.note_released_on_unwind(self.lock_key);
+            self.ops.release();
         }
     }
 }

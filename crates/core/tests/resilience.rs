@@ -71,6 +71,69 @@ fn lock_mode_panic_closes_regions_poisons_and_recovers() {
 }
 
 #[test]
+fn reentrant_lock_mode_panic_poisons_once_before_the_outer_release() {
+    let _g = serial();
+    ale_core::init_panic_hook();
+    let ale = Ale::new(AleConfig::new(Platform::t2()), StaticPolicy::new(0, 0));
+    let lock = Arc::new(ale.new_lock("nested_poison", SpinLock::new()));
+    let ver = SeqVersion::new();
+
+    // Each Panicked/Poisoned event of this lock, with whether the lock was
+    // held when the observer saw it.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let (sink, held) = (Arc::clone(&seen), Arc::clone(&lock));
+    ale_core::set_cs_observer(Arc::new(move |ev| match *ev {
+        CsEvent::Panicked {
+            lock: "nested_poison",
+            mode,
+        } => sink
+            .lock()
+            .unwrap()
+            .push((Some(mode), held.raw().is_locked())),
+        CsEvent::Poisoned {
+            lock: "nested_poison",
+        } => sink.lock().unwrap().push((None, held.raw().is_locked())),
+        _ => {}
+    }));
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        lock.cs_plain(scope!("outer"), CsOptions::new(), |_| -> u64 {
+            // Re-entrant: this thread already holds the lock, so the nested
+            // section runs in Lock mode without acquiring it.
+            lock.cs_plain(scope!("inner"), CsOptions::new(), |cs| -> u64 {
+                assert_eq!(cs.mode(), ExecMode::Lock);
+                ver.begin_conflicting_action();
+                std::panic::panic_any(InjectedPanic)
+            })
+        })
+    }));
+    ale_core::clear_cs_observer();
+    let payload = unwound.expect_err("the nested body's panic must propagate");
+    assert!(payload.downcast_ref::<InjectedPanic>().is_some());
+
+    assert_eq!(
+        ale_sync::open_region_count(),
+        0,
+        "inner region must be closed"
+    );
+    assert_eq!(ver.read(false) % 2, 0, "version parity must be restored");
+    assert!(!lock.raw().is_locked(), "the outer section must release");
+    assert!(lock.is_poisoned());
+    assert_eq!(
+        seen.lock().unwrap().as_slice(),
+        &[
+            (Some(ExecMode::Lock), true),
+            (Some(ExecMode::Lock), true),
+            (None, true),
+        ],
+        "inner then outer Panicked, one Poisoned, all before the release"
+    );
+
+    lock.clear_poison();
+    let v = lock.cs_plain(scope!("after_nested"), CsOptions::new(), |_| 5u64);
+    assert_eq!(v, 5);
+}
+
+#[test]
 fn htm_mode_panic_discards_writes_and_leaves_no_residue() {
     let _g = serial();
     ale_core::init_panic_hook();

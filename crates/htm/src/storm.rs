@@ -27,10 +27,37 @@
 //!   never happen. When everyone probes at once the lock falls quiet,
 //!   exactly like the storm-free steady state the probe is detecting.
 //!
-//! All state is in relaxed atomics: races between concurrent recorders can
-//! at worst delay a trip by a few events, and under the deterministic
-//! simulator (one lane at a time) the whole machine is exactly
-//! reproducible.
+//! # Orderings
+//!
+//! Nothing is published through the breaker: every field is a value in its
+//! own right, and every decision taken from one tolerates a stale read. A
+//! stale Closed admits one more HTM attempt, which its own lock
+//! subscription keeps safe; a stale Open sends one execution to the
+//! fallback. Races between concurrent recorders can at worst delay a trip
+//! by a few events. Under the simulator lanes switch only at ticks, and the
+//! only tick here is an edge's trace event, emitted after the edge's
+//! writes, so the whole machine is exactly reproducible.
+//!
+//! | Access | Ordering | Reason |
+//! |---|---|---|
+//! | `state` loads (`allow`, `state`, `record_commit`, `record_abort`) | `Relaxed` | a hint for the admission check and the edge CAS, which re-checks it |
+//! | `state` edge CAS (Open→HalfOpen, HalfOpen→Closed, →Open) | `AcqRel` / `Relaxed` on failure | elects the one thread that acts on an edge; stronger than needed (no load of `state` acquires, so nothing pairs with the release), free on x86 where the CAS is a locked RMW anyway |
+//! | `open_until` store (`arm_cooldown`) and loads (`allow`, `trace_edge`) | `Relaxed` | a deadline; see the note below |
+//! | `trip_level` store / `fetch_add` / load | `Relaxed` | written only by an edge CAS's winner; sizes the next cool-down and labels a trace event |
+//! | `window.bucket_start` load | `Relaxed` | a hint; the CAS re-checks it |
+//! | `window.bucket_start` CAS (`roll_window`) | `AcqRel` / `Relaxed` on failure | elects the one thread that shifts the buckets; as strong as the state CAS, for the same non-reason |
+//! | `window.bucket_start` store (`reset_buckets`) | `Relaxed` | only an edge CAS's winner resets |
+//! | `window` counters: `fetch_add`, loads, stores | `Relaxed` | statistics; the rate estimate tolerates a lost or stale count |
+//! | `trips`, `restores` | `Relaxed` | monotonic counters read by tests and reports |
+//! | `trace_label` store / load | `Relaxed` | stored before the granule is published (`GranuleTable`'s `Release` slot store), so every reader sees it |
+//!
+//! The note: `arm_cooldown` stores `open_until` *after* the CAS that opened
+//! the circuit, so another thread can see Open with the previous deadline
+//! and flip the circuit half-open early. No ordering closes that window,
+//! because it comes from the order of the two writes, not from their
+//! visibility. An early probe costs one half-open round: if the storm is
+//! still blowing, the cohort reopens the circuit one level deeper. No
+//! ordering here is wrong, so none was changed.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -248,14 +275,11 @@ impl StormBreaker {
     /// at the base cool-down; from half-open it is a failed probe cohort,
     /// reopening one level deeper (uncounted).
     pub fn record_abort(&self, storm_class: bool, rng: &mut Rng) -> BreakerTransition {
-        self.roll_window();
-        self.window.cur_attempts.fetch_add(1, Ordering::Relaxed);
-        if storm_class {
-            self.window.cur_aborts.fetch_add(1, Ordering::Relaxed);
-        }
+        self.record_benign_abort();
         if !storm_class {
             return BreakerTransition::None;
         }
+        self.window.cur_aborts.fetch_add(1, Ordering::Relaxed);
         let from = self.state.load(Ordering::Relaxed);
         if from == OPEN {
             return BreakerTransition::None;
@@ -281,6 +305,14 @@ impl StormBreaker {
             self.trace_edge(2, 1, level);
         }
         BreakerTransition::None
+    }
+
+    /// Record an abort that is not storm-class (lock-held, spurious, a
+    /// panicking body): it counts as an attempt in the window and never
+    /// moves the circuit, so it needs no jitter and no `Rng`.
+    pub fn record_benign_abort(&self) {
+        self.roll_window();
+        self.window.cur_attempts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Cool-down for `level` consecutive failures: exponential growth,
