@@ -409,8 +409,8 @@ impl<L: RawLock> LockOps for MutexOps<'_, L> {
     fn release(&self) {
         self.0.release();
     }
-    // ale-lint: htm-body — the in-transaction lock-subscription check;
-    // runs inside every elided section and must stay alloc/IO/park-free.
+    // The in-transaction lock-subscription check: it runs inside every
+    // elided section, so it must stay alloc/IO/park-free.
     fn is_conflicting_locked(&self) -> bool {
         self.0.is_locked()
     }
@@ -511,7 +511,7 @@ impl<L: RawRwLock> LockOps for SharedOps<'_, L> {
     fn release(&self) {
         self.0.release_shared();
     }
-    // ale-lint: htm-body — in-transaction subscription check (see above).
+    // In-transaction subscription check (see above).
     fn is_conflicting_locked(&self) -> bool {
         // An elided *reader* conflicts only with writers.
         self.0.is_excl_locked()
@@ -536,7 +536,7 @@ impl<L: RawRwLock> LockOps for ExclOps<'_, L> {
     fn release(&self) {
         self.0.release_excl();
     }
-    // ale-lint: htm-body — in-transaction subscription check (see above).
+    // In-transaction subscription check (see above).
     fn is_conflicting_locked(&self) -> bool {
         // An elided *writer* conflicts with any holder.
         self.0.is_any_locked()

@@ -164,8 +164,8 @@ impl<T: Copy> HtmCell<T> {
     /// Seqlock-consistent read that is never transactional, even inside a
     /// transaction. Used by statistics and debugging paths that must not
     /// grow the read set.
-    // ale-lint: htm-body — callable from inside transactions by design, so
-    // it must stay alloc/IO/park-free transitively.
+    // Callable from inside transactions by design, so it must stay
+    // alloc/IO/park-free transitively.
     pub fn load_consistent(&self) -> T {
         loop {
             let m1 = self.meta.load(Ordering::Acquire);
@@ -196,8 +196,8 @@ impl<T: Copy> HtmCell<T> {
     /// ticking can livelock the cooperative simulator. So this neither
     /// ticks nor waits: it returns `None` if the cell stays locked or
     /// unstable for a few attempts (callers treat that as "unknown").
-    // ale-lint: htm-body — callable from inside transactions by design, so
-    // it must stay alloc/IO/park-free transitively.
+    // Callable from inside transactions by design, so it must stay
+    // alloc/IO/park-free transitively.
     pub fn try_peek(&self) -> Option<T> {
         for _ in 0..8 {
             let m1 = self.meta.load(Ordering::Acquire);

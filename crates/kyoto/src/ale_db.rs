@@ -99,8 +99,8 @@ impl AleCacheDb {
     /// *external* lock's (they traverse slot data optimistically), so the
     /// check consults the external lock's indicator — transactionally when
     /// in HTM mode, hence soundly.
-    // ale-lint: htm-body — runs inside the inner critical section in HTM
-    // mode (the grouping probe); must stay alloc/IO/park-free.
+    // Runs inside the inner critical section in HTM mode (the grouping
+    // probe), so it must stay alloc/IO/park-free.
     fn bump_needed(&self, inner_cs: &CsCtx<'_>) -> bool {
         if self.force_bump {
             return true;

@@ -249,7 +249,16 @@ impl Wal {
     /// `WalAckBeforeDurable` self-test mutation). May raise
     /// [`ale_htm::InjectedCrash`] per the installed crash plan, or when the
     /// process already crashed (the medium is frozen).
+    ///
+    /// # Panics
+    ///
+    /// Inside an emulated HTM transaction: an aborted body re-runs, so the
+    /// record would be written once per attempt.
     pub fn append(&self, op: WalOp, key: u64, value: u64) -> u64 {
+        assert!(
+            !ale_htm::in_txn(),
+            "Wal::append inside an HTM transaction: the write would repeat on every abort"
+        );
         if inject::crashed() {
             inject::crash_now();
         }

@@ -7,8 +7,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use ale_core::{Ale, AleConfig, StaticPolicy};
 use ale_htm::inject::{clear_crash, crashed, install_crash, CrashPlan, CrashPoint, TornMode};
 use ale_htm::InjectedCrash;
-use ale_kyoto::{recover, DbConfig, DurableCacheDb, KyotoDb, Wal};
-use ale_vtime::Platform;
+use ale_kyoto::{recover, DbConfig, DurableCacheDb, KyotoDb, Wal, WalOp};
+use ale_vtime::{HtmProfile, Platform, Rng};
 
 /// The crash plan is process-global; tests that arm it must not overlap.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -289,6 +289,31 @@ fn frozen_wal_rejects_posthumous_appends() {
     assert!(catch_unwind(AssertUnwindSafe(|| db.remove(1))).is_err());
     assert_eq!(wal.len(), len_at_death);
     clear_crash();
+}
+
+#[test]
+fn append_inside_an_htm_transaction_panics_before_writing() {
+    let _guard = serial();
+    clear_crash();
+    let wal = Wal::new();
+    // No spurious aborts, so the body is sure to run.
+    let profile = HtmProfile {
+        spurious_abort_per_access: 0.0,
+        spurious_abort_per_txn: 0.0,
+        ..Platform::testbed().htm.expect("testbed advertises HTM")
+    };
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        let _ = ale_htm::attempt(&profile, &mut Rng::new(12), || wal.append(WalOp::Set, 1, 1));
+    }))
+    .expect_err("an append inside a transaction must panic");
+    let msg = panicked
+        .downcast_ref::<&str>()
+        .copied()
+        .expect("assert! message");
+    assert!(msg.contains("inside an HTM transaction"), "{msg}");
+    assert!(wal.is_empty(), "nothing may reach the log");
+    // The same append outside a transaction goes through.
+    assert_eq!(wal.append(WalOp::Set, 1, 1), 1);
 }
 
 #[test]

@@ -1,8 +1,6 @@
 //! The workspace call graph.
 //!
-//! Nodes are parsed function items plus `attempt(..)` transaction extents
-//! (pseudo-functions rooting the HTM rules); edges are resolved call
-//! operations. Resolution is name-based (see [`crate::parser::CallQual`]):
+//! Nodes are parsed function items; edges are resolved call operations. Resolution is name-based (see [`crate::parser::CallQual`]):
 //!
 //! * `Type::name(..)` resolves only against `impl Type` methods;
 //! * `name(..)` / `module::name(..)` resolve same-file first, then by
@@ -11,36 +9,29 @@
 //!   parse time against the std-collision deny list.
 //!
 //! Unresolvable calls (std, vendored crates) simply have no edge — their
-//! known effects were recorded as intrinsic ops at the call site. When a
+//! known writes, locks and allocations were recorded as ops at the call
+//! site. When a
 //! name is ambiguous the call links to *every* candidate: effects are
 //! joined over all of them, which errs conservative.
 
 use std::collections::HashMap;
 
-use crate::parser::{CallQual, Op, OpKind, ParsedFile};
+use crate::parser::{CallQual, Op, OpKind, PFn};
 
 pub type NodeId = usize;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
-    Fn,
-    HtmExtent,
-}
-
-/// One call-graph node: a function or transaction extent.
+/// One call-graph node: a function.
 #[derive(Debug, Clone)]
 pub struct Node {
-    pub kind: NodeKind,
     /// Workspace-relative path of the defining file.
     pub file: String,
-    /// Bare name (`Fn`) or display label (`HtmExtent`).
+    /// Bare name (resolution key).
     pub name: String,
     /// Qualified display name (`Type::name` where known).
     pub qual: String,
-    /// 0-based line of the signature / `attempt` token.
+    /// 0-based line of the signature.
     pub line: usize,
     pub swopt: bool,
-    pub htm_body: bool,
     pub ops: Vec<Op>,
 }
 
@@ -63,50 +54,29 @@ impl Program {
     /// Assemble a program from per-file parses. Test-gated functions are
     /// excluded wholesale: they neither define nor receive edges.
     #[must_use]
-    pub fn build(files: &[(String, ParsedFile)]) -> Program {
+    pub fn build(files: &[(String, Vec<PFn>)]) -> Program {
         let mut p = Program::default();
         // (file index kept alongside each node for same-file resolution)
         let mut file_of: Vec<usize> = Vec::new();
         for (fi, (path, parsed)) in files.iter().enumerate() {
-            for f in &parsed.fns {
-                if f.is_test {
-                    continue;
-                }
+            for f in parsed.iter().filter(|f| !f.is_test) {
                 p.nodes.push(Node {
-                    kind: NodeKind::Fn,
                     file: path.clone(),
                     name: f.name.clone(),
                     qual: f.qual.clone(),
                     line: f.sig_line,
                     swopt: f.swopt,
-                    htm_body: f.htm_body,
                     ops: f.ops.clone(),
-                });
-                file_of.push(fi);
-            }
-            for e in &parsed.htm_extents {
-                p.nodes.push(Node {
-                    kind: NodeKind::HtmExtent,
-                    file: path.clone(),
-                    name: e.what.clone(),
-                    qual: e.what.clone(),
-                    line: e.line,
-                    swopt: false,
-                    htm_body: true,
-                    ops: e.ops.clone(),
                 });
                 file_of.push(fi);
             }
         }
 
-        // Name indexes over Fn nodes only.
+        // Name indexes.
         let mut by_name: HashMap<&str, Vec<NodeId>> = HashMap::new();
         let mut by_qual: HashMap<&str, Vec<NodeId>> = HashMap::new();
         let mut by_file_name: HashMap<(usize, &str), Vec<NodeId>> = HashMap::new();
         for (id, n) in p.nodes.iter().enumerate() {
-            if n.kind != NodeKind::Fn {
-                continue;
-            }
             by_name.entry(&n.name).or_default().push(id);
             by_qual.entry(&n.qual).or_default().push(id);
             by_file_name
@@ -149,35 +119,6 @@ impl Program {
         }
         rev
     }
-
-    /// Graphviz export of the resolved call graph. Nodes carry
-    /// `file:line qual` labels; transaction extents are shaped as boxes.
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph ale_callgraph {\n  rankdir=LR;\n  node [fontsize=9];\n");
-        for (id, n) in self.nodes.iter().enumerate() {
-            let shape = match n.kind {
-                NodeKind::Fn => "ellipse",
-                NodeKind::HtmExtent => "box",
-            };
-            let label = format!("{}\\n{}:{}", esc(&n.qual), esc(&n.file), n.line + 1);
-            s.push_str(&format!("  n{id} [shape={shape}, label=\"{label}\"];\n"));
-        }
-        for (caller, edges) in self.edges.iter().enumerate() {
-            let mut seen = std::collections::BTreeSet::new();
-            for e in edges {
-                if seen.insert(e.callee) {
-                    s.push_str(&format!("  n{caller} -> n{};\n", e.callee));
-                }
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -187,7 +128,7 @@ mod tests {
     use crate::parser;
 
     fn program(files: &[(&str, &str)]) -> Program {
-        let parsed: Vec<(String, ParsedFile)> = files
+        let parsed: Vec<(String, Vec<PFn>)> = files
             .iter()
             .map(|(path, src)| {
                 let model = lexer::analyze(src);
@@ -196,7 +137,7 @@ mod tests {
                 let ranges = lexer::cfg_test_ranges(&toks);
                 (
                     (*path).to_string(),
-                    parser::parse_file(&model, &toks, &fns, &ranges, false),
+                    parser::parse_file(&model, &toks, &fns, &ranges),
                 )
             })
             .collect();
@@ -250,14 +191,5 @@ mod tests {
         let caller = node_id(&p, "caller");
         assert!(p.edges[caller].is_empty());
         assert_eq!(p.nodes.len(), 1);
-    }
-
-    #[test]
-    fn dot_export_mentions_nodes_and_edges() {
-        let p = program(&[("a.rs", "fn f() { g(); }\nfn g() {}")]);
-        let dot = p.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("f\\na.rs:1"));
-        assert!(dot.contains("->"));
     }
 }

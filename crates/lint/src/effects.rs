@@ -1,144 +1,53 @@
-//! Per-function effect sets and their transitive propagation.
+//! Transitive lock sets.
 //!
-//! An [`Effects`] value is a point in a finite join-semilattice:
-//!
-//! * `flags` — a bitset of intrinsic effects ([`crate::parser::flag`]);
-//! * `locks` — the set of lock (receiver) names acquired;
-//! * `reads` / `writes` — the estimated shared-memory footprint, as a map
-//!   from access key (receiver/field name) to weight (1, or
-//!   [`crate::parser::LOOP_WEIGHT`] for accesses inside loop bodies).
-//!   The estimated distinct-cell count is the sum of weights.
-//!
-//! Join is bitwise-or / set-union / key-wise max — idempotent, commutative,
-//! associative, and monotone. [`propagate`] computes the least fixed point
-//! of `eff(n) = local(n) ⊔ ⨆ {eff(c) | n calls c}` with a worklist; the
-//! lattice is finite (keys and flags are drawn from the program text), so
-//! termination is guaranteed, recursion and cycles included.
+//! A function's lock set is the set of lock (receiver) names it acquires,
+//! directly or through any call chain. Sets join by union, which is
+//! idempotent, commutative, associative and monotone. [`propagate`]
+//! computes the least fixed point of `locks(n) = local(n) ∪ ⋃ {locks(c) |
+//! n calls c}` with a worklist; the lattice is finite (names are drawn from
+//! the program text), so termination is guaranteed, recursion and cycles
+//! included. `lock-order-cycle` reads it at call sites made while a lock is
+//! held.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::callgraph::Program;
 use crate::parser::{Op, OpKind};
 
-/// A function's effect set (local or transitive).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Effects {
-    /// Intrinsic-effect bits; see [`crate::parser::flag`].
-    pub flags: u8,
-    /// Lock names acquired.
-    pub locks: BTreeSet<String>,
-    /// Estimated read footprint: access key → weight.
-    pub reads: BTreeMap<String, u32>,
-    /// Estimated write footprint: access key → weight.
-    pub writes: BTreeMap<String, u32>,
-}
-
-impl Effects {
-    /// Join `other` into `self`; true if `self` changed.
-    pub fn join(&mut self, other: &Effects) -> bool {
-        let mut changed = false;
-        if self.flags | other.flags != self.flags {
-            self.flags |= other.flags;
-            changed = true;
-        }
-        for l in &other.locks {
-            changed |= self.locks.insert(l.clone());
-        }
-        for (map, theirs) in [
-            (&mut self.reads, &other.reads),
-            (&mut self.writes, &other.writes),
-        ] {
-            for (k, &w) in theirs {
-                let e = map.entry(k.clone()).or_insert(0);
-                if w > *e {
-                    *e = w;
-                    changed = true;
-                }
-            }
-        }
-        changed
-    }
-
-    /// Is `other` ≤ `self` in the lattice order? (Used by the proptest
-    /// monotonicity suite.)
-    #[must_use]
-    pub fn subsumes(&self, other: &Effects) -> bool {
-        self.flags | other.flags == self.flags
-            && other.locks.is_subset(&self.locks)
-            && other
-                .reads
-                .iter()
-                .all(|(k, &w)| self.reads.get(k).is_some_and(|&m| m >= w))
-            && other
-                .writes
-                .iter()
-                .all(|(k, &w)| self.writes.get(k).is_some_and(|&m| m >= w))
-    }
-
-    /// Estimated distinct cells read.
-    #[must_use]
-    pub fn read_cells(&self) -> u64 {
-        self.reads.values().map(|&w| u64::from(w)).sum()
-    }
-
-    /// Estimated distinct cells written.
-    #[must_use]
-    pub fn write_cells(&self) -> u64 {
-        self.writes.values().map(|&w| u64::from(w)).sum()
-    }
-}
-
-/// The effects an op list performs directly (no call propagation).
+/// The locks an op list acquires directly (no call propagation).
 #[must_use]
-pub fn local_effects(ops: &[Op]) -> Effects {
-    let mut e = Effects::default();
-    for op in ops {
-        match &op.kind {
-            OpKind::Flag { bits, .. } => e.flags |= bits,
-            OpKind::Acquire { lock } => {
-                e.locks.insert(lock.clone());
-            }
-            OpKind::Read { key } => {
-                let w = e.reads.entry(key.clone()).or_insert(0);
-                *w = (*w).max(op.weight);
-            }
-            OpKind::Write { key, .. } => {
-                let w = e.writes.entry(key.clone()).or_insert(0);
-                *w = (*w).max(op.weight);
-            }
-            OpKind::Call { .. } | OpKind::Release { .. } => {}
-        }
-    }
-    e
+pub fn local_locks(ops: &[Op]) -> BTreeSet<String> {
+    ops.iter()
+        .filter_map(|op| match &op.kind {
+            OpKind::Acquire { lock } => Some(lock.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
-/// Transitive effects for every node: the least fixed point of local
-/// effects joined over all resolved callees.
+/// Transitive lock sets for every node: the least fixed point of local
+/// locks joined over all resolved callees.
 #[must_use]
-pub fn propagate(program: &Program) -> Vec<Effects> {
+pub fn propagate(program: &Program) -> Vec<BTreeSet<String>> {
     let n = program.nodes.len();
-    let mut eff: Vec<Effects> = program
+    let mut locks: Vec<BTreeSet<String>> = program
         .nodes
         .iter()
-        .map(|node| local_effects(&node.ops))
+        .map(|node| local_locks(&node.ops))
         .collect();
     let callers = program.callers();
-    // Worklist seeded with every node; when a node's effects grow, its
-    // callers are revisited. Each join is monotone over a finite lattice,
-    // so the list drains.
+    // Worklist seeded with every node; when a node's set grows, its callers
+    // are revisited. Each join is monotone over a finite lattice, so the
+    // list drains.
     let mut queue: Vec<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(id) = queue.pop() {
         queued[id] = false;
-        // eff[id] ⊔= eff[callee] for each callee.
         let mut grew = false;
-        for i in 0..program.edges[id].len() {
-            let callee = program.edges[id][i].callee;
-            if callee == id {
-                continue;
-            }
-            let (a, b) = split_two(&mut eff, id, callee);
-            grew |= a.join(b);
+        for e in &program.edges[id] {
+            let new: Vec<String> = locks[e.callee].difference(&locks[id]).cloned().collect();
+            grew |= !new.is_empty();
+            locks[id].extend(new);
         }
         if grew {
             for &caller in &callers[id] {
@@ -147,43 +56,9 @@ pub fn propagate(program: &Program) -> Vec<Effects> {
                     queue.push(caller);
                 }
             }
-            // Re-queue self too: growing may enable further growth through
-            // multi-hop cycles involving this node.
-            if !queued[id] {
-                queued[id] = true;
-                queue.push(id);
-            }
         }
     }
-    eff
-}
-
-/// Two distinct mutable entries of a slice.
-fn split_two(v: &mut [Effects], a: usize, b: usize) -> (&mut Effects, &Effects) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &lo[b])
-    }
-}
-
-/// Render one node's effect set as a stable, human-readable line body
-/// (used by `--effects`).
-#[must_use]
-pub fn describe(e: &Effects) -> String {
-    let mut parts: Vec<String> = crate::parser::flag::names(e.flags)
-        .into_iter()
-        .map(String::from)
-        .collect();
-    for l in &e.locks {
-        parts.push(format!("acquires-lock({l})"));
-    }
-    parts.push(format!("reads~{}", e.read_cells()));
-    parts.push(format!("writes~{}", e.write_cells()));
-    parts.join(" ")
+    locks
 }
 
 #[cfg(test)]
@@ -200,74 +75,43 @@ mod tests {
         let ranges = lexer::cfg_test_ranges(&toks);
         Program::build(&[(
             "a.rs".to_string(),
-            parser::parse_file(&model, &toks, &fns, &ranges, false),
+            parser::parse_file(&model, &toks, &fns, &ranges),
         )])
     }
 
-    fn eff_of<'a>(p: &Program, eff: &'a [Effects], name: &str) -> &'a Effects {
-        &eff[p.nodes.iter().position(|n| n.name == name).unwrap()]
+    fn locks_of<'a>(
+        p: &Program,
+        locks: &'a [BTreeSet<String>],
+        name: &str,
+    ) -> &'a BTreeSet<String> {
+        &locks[p.nodes.iter().position(|n| n.name == name).unwrap()]
     }
 
     #[test]
-    fn effects_propagate_through_chains() {
+    fn locks_propagate_through_chains() {
         let p = program(
             "
 fn top() { mid(); }
 fn mid() { bottom(); }
-fn bottom(m: &M) { m.lock(); vec![1, 2]; }
+fn bottom(m: &M) { m.lock(); }
 ",
         );
-        let eff = propagate(&p);
-        let top = eff_of(&p, &eff, "top");
-        assert!(top.locks.contains("m"));
-        assert_ne!(top.flags & crate::parser::flag::ALLOC, 0);
+        let locks = propagate(&p);
+        assert!(locks_of(&p, &locks, "top").contains("m"));
     }
 
     #[test]
     fn recursion_terminates_and_is_sound() {
         let p = program(
             "
-fn ping(c: &C) { c.cell.set(1); pong(); }
-fn pong() { ping(); }
+fn ping(c: &C) { c.mlock.acquire(); pong(); }
+fn pong(c: &C) { c.slot.acquire(); ping(); }
 ",
         );
-        let eff = propagate(&p);
-        assert!(eff_of(&p, &eff, "pong").writes.contains_key("cell"));
-        assert!(eff_of(&p, &eff, "ping").writes.contains_key("cell"));
-    }
-
-    #[test]
-    fn footprint_weights_take_key_wise_max() {
-        let p = program(
-            "
-fn looped(s: &S) { while s.go() { s.cell.get(); } }
-fn single(s: &S) { s.cell.get(); caller_of_looped(); }
-fn caller_of_looped() { looped(); }
-",
-        );
-        let eff = propagate(&p);
-        let single = eff_of(&p, &eff, "single");
-        assert_eq!(
-            single.reads["cell"],
-            crate::parser::LOOP_WEIGHT,
-            "max weight wins over the direct weight-1 read"
-        );
-        assert_eq!(single.read_cells(), u64::from(crate::parser::LOOP_WEIGHT));
-    }
-
-    #[test]
-    fn join_is_monotone_and_subsuming() {
-        let p = program(
-            "
-fn a(m: &M) { m.acquire(); }
-fn b(x: &X) { x.f.store(1); }
-fn ab() { a(); b(); }
-",
-        );
-        let eff = propagate(&p);
-        let ab = eff_of(&p, &eff, "ab");
-        assert!(ab.subsumes(eff_of(&p, &eff, "a")));
-        assert!(ab.subsumes(eff_of(&p, &eff, "b")));
-        assert!(!eff_of(&p, &eff, "a").subsumes(ab));
+        let locks = propagate(&p);
+        for name in ["ping", "pong"] {
+            let l = locks_of(&p, &locks, name);
+            assert!(l.contains("mlock") && l.contains("slot"), "{name}: {l:?}");
+        }
     }
 }

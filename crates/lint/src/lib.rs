@@ -2,28 +2,24 @@
 //! elision-safety rules this codebase depends on but `rustc` cannot see.
 //!
 //! The checker is a small hand-rolled lexer (no external dependencies,
-//! works fully offline), five line-local syntactic rules, and — since v2 —
-//! an interprocedural layer: a lightweight item [`parser`], a workspace
-//! [`callgraph`], per-function [`effects`] propagated to a fixed point, and
-//! four whole-program rules (transitive SWOpt purity, transitive HTM
-//! hygiene, lock-order cycles, HTM footprint). See [`rules`] for the rule
-//! table and DESIGN.md §7 for the analysis model. Run it with:
+//! works fully offline), four line-local syntactic rules, and an
+//! interprocedural layer: a lightweight item [`parser`], a workspace
+//! [`callgraph`], per-function lock sets ([`effects`]) propagated to a
+//! fixed point, and two whole-program rules (transitive SWOpt purity,
+//! lock-order cycles). See [`rules`] for the rule table and DESIGN.md §7
+//! for the analysis model. Run it with:
 //!
 //! ```text
 //! cargo run -p ale-lint                        # report findings
 //! cargo run -p ale-lint -- --deny              # exit nonzero on any finding
 //! cargo run -p ale-lint -- --json              # machine-readable output
-//! cargo run -p ale-lint -- --effects           # per-function effect dump
-//! cargo run -p ale-lint -- --callgraph-dot g.dot   # Graphviz export
-//! cargo run -p ale-lint -- --capacity 2048,32  # htm-footprint limits
 //! ```
 //!
 //! ## Suppression
 //!
 //! A finding is suppressed by a `// ale-lint: allow(<rule-id>)` comment on
-//! the same line or the line directly above it. Marker comments
-//! `// ale-lint: swopt` and `// ale-lint: htm-body` opt a function *into*
-//! the `swopt-purity` / `htm-body-hygiene` rules respectively.
+//! the same line or the line directly above it. The marker comment
+//! `// ale-lint: swopt` opts a function *into* the two SWOpt purity rules.
 //!
 //! ## Baseline
 //!
@@ -39,11 +35,11 @@ pub mod lexer;
 pub mod parser;
 pub mod rules;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub use rules::{Capacity, RULE_IDS};
+pub use rules::RULE_IDS;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,21 +86,13 @@ pub struct AnalyzedFile {
 }
 
 /// A whole-workspace (or single-file) analysis: per-file lex/parse results
-/// plus the assembled call graph and its transitive effects. Build once,
-/// then ask for [`Analysis::findings`], [`Analysis::effects_dump`], or
-/// [`Analysis::callgraph_dot`].
+/// plus the assembled call graph and its transitive lock sets. Build once,
+/// then ask for [`Analysis::findings`].
 pub struct Analysis {
     pub files: Vec<AnalyzedFile>,
     pub program: callgraph::Program,
-    /// Transitive effects, indexed like `program.nodes`.
-    pub effects: Vec<effects::Effects>,
-}
-
-/// The two files whose SWOpt read paths are auto-detected by name (the
-/// paper's Figure-1 modules); everywhere else requires the explicit marker
-/// comment. Kept in sync with `rules::swopt_fns`.
-fn swopt_auto_file(path: &str) -> bool {
-    path.ends_with("hashmap/src/map.rs") || path.ends_with("kyoto/src/ale_db.rs")
+    /// Transitive lock sets, indexed like `program.nodes`.
+    pub locks: Vec<BTreeSet<String>>,
 }
 
 impl Analysis {
@@ -120,7 +108,7 @@ impl Analysis {
             let test_ranges = lexer::cfg_test_ranges(&toks);
             parsed.push((
                 path.clone(),
-                parser::parse_file(&model, &toks, &fns, &test_ranges, swopt_auto_file(&path)),
+                parser::parse_file(&model, &toks, &fns, &test_ranges),
             ));
             files.push(AnalyzedFile {
                 path,
@@ -132,11 +120,11 @@ impl Analysis {
             });
         }
         let program = callgraph::Program::build(&parsed);
-        let effects = effects::propagate(&program);
+        let locks = effects::propagate(&program);
         Analysis {
             files,
             program,
-            effects,
+            locks,
         }
     }
 
@@ -144,7 +132,7 @@ impl Analysis {
     /// suppressed findings, and sort deterministically by
     /// `(path, line, rule)`.
     #[must_use]
-    pub fn findings(&self, capacity: Capacity) -> Vec<Finding> {
+    pub fn findings(&self) -> Vec<Finding> {
         let mut out = Vec::new();
         for f in &self.files {
             if f.model.raw.is_empty() {
@@ -169,9 +157,8 @@ impl Analysis {
             .collect();
         let pctx = rules::ProgramCtx {
             program: &self.program,
-            effects: &self.effects,
+            locks: &self.locks,
             src_files: &src_files,
-            capacity,
         };
         let models: HashMap<&str, &lexer::FileModel> = self
             .files
@@ -203,53 +190,19 @@ impl Analysis {
         out.dedup();
         out
     }
-
-    /// Per-node transitive effect dump (`--effects`), sorted by
-    /// `(file, line)`.
-    #[must_use]
-    pub fn effects_dump(&self) -> String {
-        let mut lines: Vec<(String, usize, String)> = self
-            .program
-            .nodes
-            .iter()
-            .zip(&self.effects)
-            .map(|(n, e)| {
-                (
-                    n.file.clone(),
-                    n.line,
-                    format!(
-                        "{}:{} {} — {}",
-                        n.file,
-                        n.line + 1,
-                        n.qual,
-                        effects::describe(e)
-                    ),
-                )
-            })
-            .collect();
-        lines.sort();
-        lines
-            .into_iter()
-            .map(|(_, _, l)| l)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Graphviz export of the resolved call graph (`--callgraph-dot`).
-    #[must_use]
-    pub fn callgraph_dot(&self) -> String {
-        self.program.to_dot()
-    }
 }
 
 /// Lint one file's source. `rel_path` should be workspace-relative with
-/// forward slashes — several rules key off it (src-vs-test scoping, the
-/// `counters.rs` allowlist, SWOpt auto-detection). The whole-program rules
-/// run over the single-file program, so intra-file call chains are checked
-/// too.
+/// forward slashes — rules key off it (src-vs-test scoping, the
+/// `counters.rs` allowlist). The whole-program rules run over the
+/// single-file program, so intra-file call chains are checked too.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let is_src = rel_path.contains("/src/") || rel_path.starts_with("src/");
-    lint_source_as(rel_path, src, is_src)
+    lint_source_as(rel_path, src, is_src_path(rel_path))
+}
+
+/// Is a workspace-relative path under a `src/` directory?
+fn is_src_path(rel_path: &str) -> bool {
+    rel_path.contains("/src/") || rel_path.starts_with("src/")
 }
 
 /// Like [`lint_source`] but with the src-vs-test scoping decided by the
@@ -257,8 +210,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
 /// src-only rules apply to spot-checked files (and to the bad-fixture
 /// corpus) regardless of where they live.
 pub fn lint_source_as(rel_path: &str, src: &str, is_src: bool) -> Vec<Finding> {
-    Analysis::of_sources(vec![(rel_path.to_string(), src.to_string(), is_src)])
-        .findings(Capacity::DEFAULT)
+    Analysis::of_sources(vec![(rel_path.to_string(), src.to_string(), is_src)]).findings()
 }
 
 /// `// ale-lint: allow(<rule>)` on the finding's line, or on a
@@ -281,8 +233,8 @@ fn is_suppressed(model: &lexer::FileModel, f: &Finding) -> bool {
     prev_comment_only && model.comments[prev].contains(&needle)
 }
 
-/// Recursively collect `.rs` files under `dir`.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Recursively collect `.rs` files under `dir`, in sorted order.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -324,27 +276,33 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Build an [`Analysis`] over an explicit list of files, reporting paths
-/// relative to `root`. `force_src` applies every rule (including the
-/// src-only ones) to every file, regardless of its path.
-pub fn analyze_files(root: &Path, files: &[PathBuf], force_src: bool) -> std::io::Result<Analysis> {
-    let mut sources = Vec::with_capacity(files.len());
-    for path in files {
-        let src = std::fs::read_to_string(path)?;
-        let rel = rel_path(root, path);
-        let is_src = force_src || rel.contains("/src/") || rel.starts_with("src/");
-        sources.push((rel, src, is_src));
-    }
-    Ok(Analysis::of_sources(sources))
+/// Read an explicit list of files as the `(rel_path, source, is_src)`
+/// triples [`Analysis::of_sources`] takes, with paths relative to `root`.
+/// `force_src` applies every rule (including the src-only ones) to every
+/// file, regardless of its path.
+pub fn read_sources(
+    root: &Path,
+    files: &[PathBuf],
+    force_src: bool,
+) -> std::io::Result<Vec<(String, String, bool)>> {
+    files
+        .iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(path)?;
+            let rel = rel_path(root, path);
+            let is_src = force_src || is_src_path(&rel);
+            Ok((rel, src, is_src))
+        })
+        .collect()
 }
 
-/// Lint an explicit list of files with the default backend capacity.
+/// Lint an explicit list of files, as one whole-program analysis.
 pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
     force_src: bool,
 ) -> std::io::Result<Vec<Finding>> {
-    Ok(analyze_files(root, files, force_src)?.findings(Capacity::DEFAULT))
+    Ok(Analysis::of_sources(read_sources(root, files, force_src)?).findings())
 }
 
 /// Lint the whole default surface under `root`, as one whole-program

@@ -3,54 +3,16 @@
 //! The whole-program rules need more structure than per-line token scans:
 //! which functions exist (and under which `impl`), what each function
 //! *does* — calls, lock acquisitions/releases, shared-state writes,
-//! footprint-relevant reads/writes, effect-bearing tokens — and in which
-//! context each operation happens (inside a loop? inside a
-//! `begin/end_conflicting_action` bracket? inside an `attempt(..)`
-//! transaction extent?). This module extracts exactly that, per file; the
-//! [`crate::callgraph`] module stitches files into a program.
+//! allocations — and whether each operation happens inside a
+//! `begin/end_conflicting_action` bracket. This module extracts exactly
+//! that, per file; the [`crate::callgraph`] module stitches files into a
+//! program.
 //!
 //! This is deliberately *not* a Rust parser: resolution is name-based and
 //! syntactic, conservative in the same way the line-local rules are. The
 //! known imprecision is documented in DESIGN.md §7.
 
 use crate::lexer::{match_delim, FileModel, FnExtent, Tok, TokKind};
-
-/// Footprint weight for accesses inside a `for`/`while`/`loop` body: one
-/// loop iteration rarely touches one cell, so a looped access is estimated
-/// to touch this many distinct locations. See DESIGN.md §7 for why 64.
-pub const LOOP_WEIGHT: u32 = 64;
-
-/// Effect-flag bits carried by [`OpKind::Flag`] and
-/// [`crate::effects::Effects::flags`].
-pub mod flag {
-    /// Heap allocation (`Box::new`, `vec![..]`, `.push(..)`, `format!`, …).
-    pub const ALLOC: u8 = 1 << 0;
-    /// IO / syscalls (`println!`, `File::`, `stdout`, …).
-    pub const IO: u8 = 1 << 1;
-    /// May unwind (`panic!`, `.unwrap()`, `assert!`, …).
-    pub const PANIC: u8 = 1 << 2;
-    /// May park or block the thread (`park`, `sleep`, `.wait(`, `.recv(`).
-    pub const PARK: u8 = 1 << 3;
-    /// Touches atomic orderings (`Ordering::`, `.load(`, `fetch_*`, CAS).
-    pub const ATOMIC: u8 = 1 << 4;
-
-    /// Human-readable names for a flag set, in bit order.
-    pub fn names(flags: u8) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        for (bit, name) in [
-            (ALLOC, "allocates"),
-            (IO, "does-io"),
-            (PANIC, "panics"),
-            (PARK, "parks"),
-            (ATOMIC, "atomic-ordering-touch"),
-        ] {
-            if flags & bit != 0 {
-                out.push(name);
-            }
-        }
-        out
-    }
-}
 
 /// One operation extracted from a function body, in source order.
 #[derive(Debug, Clone)]
@@ -60,8 +22,6 @@ pub struct Op {
     pub line: usize,
     /// `begin/end_conflicting_action` bracket depth at this op.
     pub cr_depth: u32,
-    /// Footprint multiplier: [`LOOP_WEIGHT`] inside a loop body, else 1.
-    pub weight: u32,
 }
 
 /// How a call names its target, which decides resolution strategy (see
@@ -86,16 +46,12 @@ pub enum OpKind {
     Acquire { lock: String },
     /// A lock release on the receiver named `lock`.
     Release { lock: String },
-    /// A footprint-relevant shared read (`.get(`, `.load(`, `.read(`).
-    Read { key: String },
-    /// A footprint-relevant shared write. `purity_relevant` marks the
-    /// write classes the SWOpt purity rule cares about (`.store(`,
-    /// `fetch_*`, `.set(`, `.get_mut(`) as opposed to plain field/deref
-    /// assignments (which may target locals or out-params).
-    Write { key: String, purity_relevant: bool },
-    /// An intrinsic effect token (see [`flag`]): `what` is the offending
-    /// token text, for diagnostics.
-    Flag { bits: u8, what: String },
+    /// A shared-state write (`.store(`, `fetch_*`, `.set(`, `.get_mut(`)
+    /// through the receiver named `key`.
+    Write { key: String },
+    /// A heap allocation (`Box::new`, `vec![..]`, `.push(..)`, …); `what`
+    /// is the offending token text, for diagnostics.
+    Alloc { what: String },
 }
 
 /// A parsed function item.
@@ -109,31 +65,10 @@ pub struct PFn {
     pub sig_line: usize,
     /// Inside `#[cfg(test)]`: excluded from resolution and from rules.
     pub is_test: bool,
-    /// Marked `// ale-lint: swopt` (or auto-detected; see
-    /// [`crate::rules`]): a root for the transitive SWOpt purity rule.
+    /// Marked `// ale-lint: swopt`: a root for the transitive SWOpt purity
+    /// rule.
     pub swopt: bool,
-    /// Marked `// ale-lint: htm-body`: a root for the transitive HTM
-    /// hygiene and footprint rules.
-    pub htm_body: bool,
     pub ops: Vec<Op>,
-}
-
-/// The argument extent of an `attempt(..)` call — code
-/// handed to the HTM engine, a root for the transitive HTM rules.
-#[derive(Debug, Clone)]
-pub struct HtmExtent {
-    /// Display label, e.g. `attempt(..) in cs_once`.
-    pub what: String,
-    /// 0-based line of the `attempt` token.
-    pub line: usize,
-    pub ops: Vec<Op>,
-}
-
-/// Per-file parse result.
-#[derive(Debug, Clone, Default)]
-pub struct ParsedFile {
-    pub fns: Vec<PFn>,
-    pub htm_extents: Vec<HtmExtent>,
 }
 
 /// Method names that acquire a lock when called on a receiver.
@@ -153,42 +88,24 @@ const LOCK_ACQUIRE: [&str; 10] = [
 /// Method names that release a lock on a receiver.
 const LOCK_RELEASE: [&str; 4] = ["unlock", "release", "release_shared", "release_excl"];
 
-/// Macro names (followed by `!`) mapped to effect flags.
-fn macro_flag(name: &str) -> u8 {
-    match name {
-        "vec" | "format" => flag::ALLOC,
-        "println" | "eprintln" | "print" | "eprint" | "dbg" | "write" | "writeln" => flag::IO,
-        "panic" | "unreachable" | "todo" | "unimplemented" | "assert" | "assert_eq"
-        | "assert_ne" => flag::PANIC,
-        _ => 0,
-    }
+/// Macro names (followed by `!`) that allocate.
+fn macro_allocates(name: &str) -> bool {
+    matches!(name, "vec" | "format")
 }
 
-/// Method names (preceded by `.`) mapped to effect flags.
-fn method_flag(name: &str) -> u8 {
-    match name {
-        "push" | "to_string" | "to_vec" | "to_owned" | "reserve" | "collect" => flag::ALLOC,
-        "unwrap" | "expect" => flag::PANIC,
-        "wait" | "recv" | "join_all" => flag::PARK,
-        "load" | "compare_exchange" | "compare_exchange_weak" | "swap" => flag::ATOMIC,
-        _ => 0,
-    }
-}
-
-/// Free/path-call names mapped to effect flags.
-fn call_flag(name: &str) -> u8 {
-    match name {
-        "with_capacity" => flag::ALLOC,
-        "park" | "park_timeout" | "sleep" | "yield_now" => flag::PARK,
-        _ => 0,
-    }
+/// Method names (preceded by `.`) that allocate.
+fn method_allocates(name: &str) -> bool {
+    matches!(
+        name,
+        "push" | "to_string" | "to_vec" | "to_owned" | "reserve" | "collect"
+    )
 }
 
 /// Method names whose *call alone* never links into the workspace call
 /// graph: they collide with std/container methods, so a name match would
 /// wire unrelated code together (e.g. every `HashMap::get` call in the
-/// standard library sense linking to `AleHashMap::get`). Their intrinsic
-/// effects are still recorded via the tables above where relevant.
+/// standard library sense linking to `AleHashMap::get`). Their writes,
+/// locks and allocations are still recorded as ops.
 const METHOD_LINK_DENY: [&str; 38] = [
     "get",
     "set",
@@ -232,11 +149,12 @@ const METHOD_LINK_DENY: [&str; 38] = [
 
 /// Names that are never calls into the program: control keywords, common
 /// std free functions, bracket markers, the HTM engine entry (its closure
-/// is scanned in place), and the instrumentation hooks. `tick(..)` is the
-/// `ale-vtime` time-accounting hook — every sync primitive charges virtual
-/// time through it, so linking it would thread the *scheduler's* effects
-/// into every analyzed path; like `trace::emit(..)`, it is exempt by
-/// construction (simulation substrate, not modeled algorithm).
+/// is scanned in place, as part of the enclosing function), and the
+/// instrumentation hooks. `tick(..)` is the `ale-vtime` time-accounting
+/// hook — every sync primitive charges virtual time through it, so linking
+/// it would thread the *scheduler's* locks into every analyzed path; like
+/// `trace::emit(..)`, it is exempt by construction (simulation substrate,
+/// not modeled algorithm).
 fn is_noncall(name: &str) -> bool {
     matches!(
         name,
@@ -258,26 +176,23 @@ fn is_noncall(name: &str) -> bool {
     )
 }
 
-/// Parse one file. `fns` and `test_ranges` come from the lexer
-/// ([`crate::lexer::functions`] / [`crate::lexer::cfg_test_ranges`]);
-/// `swopt_auto` enables name-based SWOpt auto-detection (the two
-/// Figure-1 files; see [`crate::rules`]).
+/// Parse one file's functions. `fns` and `test_ranges` come from the lexer
+/// ([`crate::lexer::functions`] / [`crate::lexer::cfg_test_ranges`]).
 pub fn parse_file(
     model: &FileModel,
     toks: &[Tok],
     fns: &[FnExtent],
     test_ranges: &[(usize, usize)],
-    swopt_auto: bool,
-) -> ParsedFile {
-    let mut out = ParsedFile::default();
+) -> Vec<PFn> {
     let impl_types = impl_type_by_token(toks);
-    let comment_nearby = |line0: usize, needle: &str| -> bool {
+    let marked_swopt = |line0: usize| -> bool {
         let lo = line0.saturating_sub(5);
         model.comments[lo..=line0.min(model.comments.len().saturating_sub(1))]
             .iter()
-            .any(|c| c.contains(needle))
+            .any(|c| c.contains("ale-lint: swopt"))
     };
 
+    let mut out = Vec::with_capacity(fns.len());
     for (fi, f) in fns.iter().enumerate() {
         // Token spans of *nested* fn items, excluded from this fn's ops.
         let nested: Vec<(usize, usize)> = fns
@@ -289,49 +204,19 @@ pub fn parse_file(
         let is_test = test_ranges
             .iter()
             .any(|&(a, b)| a <= f.body_open && f.body_open <= b);
-        let swopt = comment_nearby(f.sig_line, "ale-lint: swopt")
-            || (swopt_auto && (f.name.contains("swopt") || f.name.contains("optimistic")));
-        let htm_body = comment_nearby(f.sig_line, "ale-lint: htm-body");
-        let ops = scan_ops(toks, f.body_open, f.body_close, &nested);
         let qual = impl_types
             .iter()
             .rev()
             .find(|&&(a, b, _)| a <= f.body_open && f.body_close <= b)
             .map_or_else(|| f.name.clone(), |(_, _, ty)| format!("{ty}::{}", f.name));
-        out.fns.push(PFn {
+        out.push(PFn {
             name: f.name.clone(),
             qual,
             sig_line: f.sig_line,
             is_test,
-            swopt,
-            htm_body,
-            ops,
+            swopt: marked_swopt(f.sig_line),
+            ops: scan_ops(toks, f.body_open, f.body_close, &nested),
         });
-    }
-
-    // attempt(..) argument extents outside test code.
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        let is_attempt = t.is_ident("attempt")
-            && !(i > 0 && toks[i - 1].is_ident("fn"))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('));
-        if is_attempt && !test_ranges.iter().any(|&(a, b)| a <= i && i <= b) {
-            let close = match_delim(toks, i + 1, '(', ')');
-            let host = fns
-                .iter()
-                .filter(|f| f.body_open <= i && i <= f.body_close)
-                .min_by_key(|f| f.body_close - f.body_open)
-                .map_or_else(String::new, |f| format!(" in {}", f.name));
-            out.htm_extents.push(HtmExtent {
-                what: format!("{}(..){host}", t.text),
-                line: t.line,
-                ops: scan_ops(toks, i + 1, close, &[]),
-            });
-            i = close + 1;
-            continue;
-        }
-        i += 1;
     }
     out
 }
@@ -438,27 +323,6 @@ fn receiver_name(toks: &[Tok], dot_idx: usize) -> Option<String> {
     }
 }
 
-/// Token-index ranges of loop bodies (`for`/`while`/`loop` … `{ .. }`)
-/// within `[start, end]`.
-fn loop_ranges(toks: &[Tok], start: usize, end: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in start..=end.min(toks.len().saturating_sub(1)) {
-        let t = &toks[i];
-        if t.is_ident("for") || t.is_ident("while") || t.is_ident("loop") {
-            // `for` in `impl<T> for` position can't appear inside a body;
-            // find the loop body's `{` (stopping at `;` for safety).
-            let mut j = i + 1;
-            while j <= end && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-                j += 1;
-            }
-            if j <= end && toks[j].is_punct('{') {
-                out.push((j, match_delim(toks, j, '{', '}')));
-            }
-        }
-    }
-    out
-}
-
 /// After an ident at `i`, skip a turbofish (`::<..>`) if present and return
 /// the index of the would-be `(`.
 fn after_turbofish(toks: &[Tok], i: usize) -> usize {
@@ -486,7 +350,6 @@ fn after_turbofish(toks: &[Tok], i: usize) -> usize {
 fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> Vec<Op> {
     let mut ops = Vec::new();
     let end = end.min(toks.len().saturating_sub(1));
-    let loops = loop_ranges(toks, start, end);
     let mut cr_depth: u32 = 0;
     let mut i = start;
     while i <= end {
@@ -500,18 +363,12 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
             continue;
         }
         let line = t.line;
-        let weight = if loops.iter().any(|&(a, b)| a < i && i < b) {
-            LOOP_WEIGHT
-        } else {
-            1
-        };
         macro_rules! push {
             ($kind:expr) => {
                 ops.push(Op {
                     kind: $kind,
                     line,
                     cr_depth,
-                    weight,
                 })
             };
         }
@@ -522,7 +379,8 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
         let name = t.text.as_str();
 
         // `trace::emit(..)` / `ale_trace::emit(..)` spans are exempt from
-        // every analysis (HTM-safe by construction): skip them wholesale.
+        // every analysis (a branch plus thread-local stores by
+        // construction): skip them wholesale.
         if (t.is_ident("trace") || t.is_ident("ale_trace"))
             && toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
@@ -553,8 +411,7 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
                 .get(i + 3)
                 .is_some_and(|n| n.is_ident("new") || n.is_ident("from"))
         {
-            push!(OpKind::Flag {
-                bits: flag::ALLOC,
+            push!(OpKind::Alloc {
                 what: format!("{name}::{}", toks[i + 3].text),
             });
             i += 4;
@@ -563,10 +420,8 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
 
         // Macros: `name!(..)`.
         if toks.get(i + 1).is_some_and(|n| n.is_punct('!')) {
-            let bits = macro_flag(name);
-            if bits != 0 {
-                push!(OpKind::Flag {
-                    bits,
+            if macro_allocates(name) {
+                push!(OpKind::Alloc {
                     what: format!("{name}!"),
                 });
             }
@@ -579,40 +434,14 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
                 let recv = receiver_name(toks, i - 1).unwrap_or_else(|| "?".into());
                 if LOCK_ACQUIRE.contains(&name) {
                     push!(OpKind::Acquire { lock: recv });
-                    if name == "lock" {
-                        // std `Mutex::lock` also implies PARK (blocking).
-                        push!(OpKind::Flag {
-                            bits: flag::PARK,
-                            what: "lock()".into(),
-                        });
-                    }
                 } else if LOCK_RELEASE.contains(&name) {
                     push!(OpKind::Release { lock: recv });
-                } else if matches!(name, "get" | "load" | "read") {
-                    push!(OpKind::Read { key: recv });
-                    if name == "load" {
-                        push!(OpKind::Flag {
-                            bits: flag::ATOMIC,
-                            what: ".load(".into(),
-                        });
-                    }
                 } else if matches!(name, "set" | "store" | "get_mut") || name.starts_with("fetch_")
                 {
-                    push!(OpKind::Write {
-                        key: recv,
-                        purity_relevant: true,
-                    });
-                    if name == "store" || name.starts_with("fetch_") {
-                        push!(OpKind::Flag {
-                            bits: flag::ATOMIC,
-                            what: format!(".{name}("),
-                        });
-                    }
+                    push!(OpKind::Write { key: recv });
                 }
-                let bits = method_flag(name);
-                if bits != 0 {
-                    push!(OpKind::Flag {
-                        bits,
+                if method_allocates(name) {
+                    push!(OpKind::Alloc {
                         what: format!(".{name}("),
                     });
                 }
@@ -623,11 +452,9 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
                     });
                 }
             } else {
-                let bits = call_flag(name);
-                if bits != 0 {
-                    push!(OpKind::Flag {
-                        bits,
-                        what: format!("{name}("),
+                if name == "with_capacity" {
+                    push!(OpKind::Alloc {
+                        what: "with_capacity(".into(),
                     });
                 }
                 if !is_noncall(name) {
@@ -659,30 +486,6 @@ fn scan_ops(toks: &[Tok], start: usize, end: usize, skip: &[(usize, usize)]) -> 
                     }
                 }
             }
-            i += 1;
-            continue;
-        }
-
-        // Bare `Ordering` mention: atomic-ordering touch.
-        if name == "Ordering" {
-            push!(OpKind::Flag {
-                bits: flag::ATOMIC,
-                what: "Ordering::".into(),
-            });
-            i += 1;
-            continue;
-        }
-
-        // Field / deref assignment: `a.b = v` or `*p = v` (not `==`; a
-        // compound `a.b += v` is missed — documented imprecision).
-        let next_eq = toks.get(i + 1).is_some_and(|n| n.is_punct('='))
-            && !toks.get(i + 2).is_some_and(|n| n.is_punct('='));
-        let prev_deref_or_dot = i > 0 && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct('*'));
-        if next_eq && prev_deref_or_dot {
-            push!(OpKind::Write {
-                key: name.to_string(),
-                purity_relevant: false,
-            });
         }
         i += 1;
     }
@@ -694,12 +497,12 @@ mod tests {
     use super::*;
     use crate::lexer;
 
-    fn parse(src: &str) -> ParsedFile {
+    fn parse(src: &str) -> Vec<PFn> {
         let model = lexer::analyze(src);
         let toks = lexer::tokens(&model);
         let fns = lexer::functions(&toks);
         let ranges = lexer::cfg_test_ranges(&toks);
-        parse_file(&model, &toks, &fns, &ranges, false)
+        parse_file(&model, &toks, &fns, &ranges)
     }
 
     #[test]
@@ -717,8 +520,8 @@ impl Db {
 }
 ";
         let p = parse(src);
-        assert_eq!(p.fns.len(), 1);
-        let f = &p.fns[0];
+        assert_eq!(p.len(), 1);
+        let f = &p[0];
         assert_eq!(f.qual, "Db::put");
         let kinds: Vec<&OpKind> = f.ops.iter().map(|o| &o.kind).collect();
         assert!(kinds.contains(&&OpKind::Acquire {
@@ -731,50 +534,39 @@ impl Db {
             callee: "helper".into(),
             qual: CallQual::Bare
         }));
-        assert!(kinds.contains(&&OpKind::Write {
-            key: "cell".into(),
-            purity_relevant: true
-        }));
+        assert!(kinds.contains(&&OpKind::Write { key: "cell".into() }));
         assert!(kinds.contains(&&OpKind::Release {
             lock: "slot_locks".into()
         }));
     }
 
     #[test]
-    fn loop_and_bracket_context_is_tracked() {
+    fn bracket_depth_is_tracked() {
         let src = "
 fn f(v: &SeqVersion) {
     v.begin_conflicting_action();
     self.cell.set(1);
     v.end_conflicting_action();
-    while go() {
-        self.other.set(2);
-    }
+    self.other.set(2);
 }
 ";
         let p = parse(src);
-        let f = &p.fns[0];
-        let bracketed = f
-            .ops
-            .iter()
-            .find(|o| matches!(&o.kind, OpKind::Write { key, .. } if key == "cell"))
-            .unwrap();
-        assert_eq!(bracketed.cr_depth, 1);
-        assert_eq!(bracketed.weight, 1);
-        let looped = f
-            .ops
-            .iter()
-            .find(|o| matches!(&o.kind, OpKind::Write { key, .. } if key == "other"))
-            .unwrap();
-        assert_eq!(looped.cr_depth, 0);
-        assert_eq!(looped.weight, LOOP_WEIGHT);
+        let depth_of = |field: &str| {
+            p[0].ops
+                .iter()
+                .find(|o| matches!(&o.kind, OpKind::Write { key } if key == field))
+                .unwrap()
+                .cr_depth
+        };
+        assert_eq!(depth_of("cell"), 1);
+        assert_eq!(depth_of("other"), 0);
     }
 
     #[test]
-    fn attempt_extents_and_markers() {
+    fn swopt_marker_and_attempt_closures() {
         let src = "
-// ale-lint: htm-body
-fn hot(&self) { helper(); }
+// ale-lint: swopt
+fn lookup(&self) { helper(); }
 
 // (markers look back five lines, like every ale-lint comment rule, so
 // this fn needs enough distance from the marker above to stay unmarked)
@@ -783,32 +575,30 @@ fn hot(&self) { helper(); }
 //
 fn outer(&self) {
     attempt(profile, rng, || {
-        self.cell.get();
         inner_helper();
     });
 }
-
-#[cfg(test)]
-mod tests {
-    fn t() { attempt(|| {}); }
-}
 ";
         let p = parse(src);
-        assert!(p.fns[0].htm_body);
-        assert!(!p.fns[1].htm_body);
-        assert_eq!(p.htm_extents.len(), 1, "test-code attempt excluded");
-        assert!(p.htm_extents[0].what.contains("in outer"));
-        assert!(p.htm_extents[0]
+        assert!(p[0].swopt);
+        assert!(!p[1].swopt);
+        // `attempt` is no call target; its closure's ops are the host's.
+        let calls: Vec<&str> = p[1]
             .ops
             .iter()
-            .any(|o| matches!(&o.kind, OpKind::Call { callee, .. } if callee == "inner_helper")));
+            .filter_map(|o| match &o.kind {
+                OpKind::Call { callee, .. } => Some(callee.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls, ["inner_helper"]);
     }
 
     #[test]
     fn turbofish_calls_are_calls() {
         let src = "fn f(&self) { self.get_impl::<true>(k, v); }";
         let p = parse(src);
-        assert!(p.fns[0]
+        assert!(p[0]
             .ops
             .iter()
             .any(|o| matches!(&o.kind, OpKind::Call { callee, .. } if callee == "get_impl")));
@@ -818,6 +608,6 @@ mod tests {
     fn trace_emit_spans_are_invisible() {
         let src = "fn f() { trace::emit(TraceEvent::mode_decision(x.unwrap(), vec![1])); }";
         let p = parse(src);
-        assert!(p.fns[0].ops.is_empty(), "{:?}", p.fns[0].ops);
+        assert!(p[0].ops.is_empty(), "{:?}", p[0].ops);
     }
 }

@@ -1,27 +1,25 @@
-//! The elision-safety rules: five line-local, four whole-program.
+//! The elision-safety rules: four line-local, two whole-program.
 //!
 //! | rule id | invariant |
 //! |---------|-----------|
 //! | `safety-comment` | every `unsafe` is annotated with `// SAFETY:` (or a `# Safety` doc section) within the five preceding lines |
 //! | `conflicting-region-balance` | `begin_conflicting_action` / `end_conflicting_action` pair up within one function, with no `return` / `?` / `break` escaping the open region |
 //! | `swopt-purity` | SWOpt (optimistic) read paths perform no writes — `store(` / `fetch_*` / `get_mut` / `lock()` — outside a conflicting-region bracket |
-//! | `htm-body-hygiene` | code passed to the HTM engine avoids `Box::new`, `Vec::push`, `println!`, `panic!`, `.unwrap()`, `.expect()` (allocation / IO / unwinding abort transactions or leak); `trace::emit(..)` spans are exempt (HTM-safe by construction) |
 //! | `ordering-discipline` | `Ordering::Relaxed` is forbidden on stores and read-modify-writes (`swap`, `fetch_*`) to lock words and version/publication fields |
 //! | `swopt-purity-transitive` | a SWOpt path must not *reach* a write/alloc/lock effect through any call chain (calls made inside a conflicting-region bracket are exempt) |
-//! | `htm-body-hygiene-transitive` | a transaction body must not *reach* an alloc/IO/park effect through any call chain (`trace::emit(..)` stays exempt) |
 //! | `lock-order-cycle` | the static lock-acquisition graph (lock A held while B is acquired, directly or through calls) must be acyclic |
-//! | `htm-footprint` | a transaction body's estimated transitive read/write footprint must fit the configured backend capacity |
 //!
-//! The whole-program rules run over the [`crate::callgraph::Program`] with
-//! transitive [`crate::effects`]; see DESIGN.md §7 for the effect lattice
-//! and the footprint estimation model.
+//! SWOpt paths are the functions marked `// ale-lint: swopt`. The
+//! whole-program rules run over the [`crate::callgraph::Program`] with
+//! transitive lock sets from [`crate::effects`]; see DESIGN.md §7 for the
+//! analysis model. Each rule catches a seeded bug in the real tree:
+//! `tests/mutations.rs` holds at least one row per rule.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use crate::callgraph::{NodeId, Program};
-use crate::effects::Effects;
 use crate::lexer::{match_delim, FileModel, FnExtent, Tok, TokKind};
-use crate::parser::{flag, OpKind};
+use crate::parser::OpKind;
 use crate::Finding;
 
 /// Everything a rule needs to know about one file.
@@ -69,16 +67,13 @@ impl FileCtx<'_> {
 }
 
 /// All rule IDs, in reporting order.
-pub const RULE_IDS: [&str; 9] = [
+pub const RULE_IDS: [&str; 6] = [
     "safety-comment",
     "conflicting-region-balance",
     "swopt-purity",
-    "htm-body-hygiene",
     "ordering-discipline",
     "swopt-purity-transitive",
-    "htm-body-hygiene-transitive",
     "lock-order-cycle",
-    "htm-footprint",
 ];
 
 pub fn check_all(ctx: &FileCtx) -> Vec<Finding> {
@@ -86,7 +81,6 @@ pub fn check_all(ctx: &FileCtx) -> Vec<Finding> {
     out.extend(safety_comment(ctx));
     out.extend(region_balance(ctx));
     out.extend(swopt_purity(ctx));
-    out.extend(htm_body_hygiene(ctx));
     out.extend(ordering_discipline(ctx));
     out
 }
@@ -186,22 +180,13 @@ fn region_balance(ctx: &FileCtx) -> Vec<Finding> {
     out
 }
 
-/// Functions this file treats as SWOpt (optimistic) read paths: opted in
-/// with the `swopt` marker comment (see the crate docs for the exact
-/// spelling — writing it out here would mark *this* function), or — in the
-/// two modules the paper's Figure 1 models — auto-detected by name.
-fn swopt_fns<'a>(ctx: &'a FileCtx) -> Vec<&'a FnExtent> {
-    let auto_detect_file =
-        ctx.path.ends_with("hashmap/src/map.rs") || ctx.path.ends_with("kyoto/src/ale_db.rs");
+/// Functions this file treats as SWOpt (optimistic) read paths: those
+/// opted in with the `swopt` marker comment (see the crate docs for the
+/// exact spelling — writing it out here would mark *this* function).
+fn swopt_fns<'a>(ctx: &'a FileCtx) -> impl Iterator<Item = &'a FnExtent> {
     ctx.fns
         .iter()
-        .filter(|f| {
-            let marked = ctx.comment_nearby(f.sig_line, 5, "ale-lint: swopt");
-            let named =
-                auto_detect_file && (f.name.contains("swopt") || f.name.contains("optimistic"));
-            marked || named
-        })
-        .collect()
+        .filter(|f| ctx.comment_nearby(f.sig_line, 5, "ale-lint: swopt"))
 }
 
 /// `swopt-purity`: SWOpt paths must not write shared state outside a
@@ -243,82 +228,6 @@ fn swopt_purity(ctx: &FileCtx) -> Vec<Finding> {
                     ));
                 }
             }
-        }
-    }
-    out
-}
-
-/// Is the token at `i` the head of a `trace::emit(..)` /
-/// `ale_trace::emit(..)` call path?
-fn is_trace_emit(toks: &[Tok], i: usize) -> bool {
-    (toks[i].is_ident("trace") || toks[i].is_ident("ale_trace"))
-        && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 3).is_some_and(|t| t.is_ident("emit"))
-        && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-}
-
-/// `htm-body-hygiene`: code passed to the HTM engine (closure arguments of
-/// `attempt(..)`, plus functions opted in with the
-/// `htm-body` marker comment) must avoid allocation, IO, and unwinding.
-///
-/// One call is exempt: `trace::emit(..)` / `ale_trace::emit(..)`. The
-/// event rings are HTM-safe by construction — a branch plus a handful of
-/// thread-local stores, no allocation, IO, or unwinding — so emits (and
-/// their argument spans) inside transaction bodies do not flag.
-fn htm_body_hygiene(ctx: &FileCtx) -> Vec<Finding> {
-    if !ctx.is_src {
-        return Vec::new();
-    }
-    let mut extents: Vec<(usize, usize, String)> = Vec::new();
-    for i in 0..ctx.toks.len() {
-        if is_call_of(ctx.toks, i, "attempt") && !ctx.in_test_code(i) {
-            let close = match_delim(ctx.toks, i + 1, '(', ')');
-            extents.push((i + 1, close, format!("{}(..)", ctx.toks[i].text)));
-        }
-    }
-    for f in ctx.fns {
-        if ctx.comment_nearby(f.sig_line, 5, "ale-lint: htm-body") && !ctx.in_test_code(f.body_open)
-        {
-            extents.push((f.body_open, f.body_close, format!("fn {}", f.name)));
-        }
-    }
-
-    let mut out = Vec::new();
-    for (start, end, what) in extents {
-        let end = end.min(ctx.toks.len() - 1);
-        let mut i = start;
-        while i <= end {
-            if is_trace_emit(ctx.toks, i) {
-                i = match_delim(ctx.toks, i + 4, '(', ')') + 1;
-                continue;
-            }
-            let t = &ctx.toks[i];
-            if t.kind != TokKind::Ident {
-                i += 1;
-                continue;
-            }
-            let prev_dot = i > 0 && ctx.toks[i - 1].is_punct('.');
-            let next_bang = ctx.toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-            let box_new = t.text == "Box"
-                && ctx.toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-                && ctx.toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
-                && ctx.toks.get(i + 3).is_some_and(|n| n.is_ident("new"));
-            let bad = box_new
-                || (prev_dot && matches!(t.text.as_str(), "push" | "unwrap" | "expect"))
-                || (next_bang && matches!(t.text.as_str(), "println" | "panic" | "vec"));
-            if bad {
-                out.push(ctx.finding(
-                    "htm-body-hygiene",
-                    t.line,
-                    format!(
-                        "`{}` inside HTM-executed code ({what}): allocation/IO/unwinding \
-                         aborts hardware transactions or leaks on abort",
-                        t.text
-                    ),
-                ));
-            }
-            i += 1;
         }
     }
     out
@@ -393,45 +302,23 @@ fn ordering_discipline(ctx: &FileCtx) -> Vec<Finding> {
 // Whole-program rules
 // ---------------------------------------------------------------------------
 
-/// Emulated-HTM backend capacity, in estimated distinct cells, used by the
-/// `htm-footprint` rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Capacity {
-    pub reads: u64,
-    pub writes: u64,
-}
-
-impl Capacity {
-    /// Mirrors `Platform::haswell()` in `crates/vtime/src/platform.rs`
-    /// (best-effort limits: 4096 read cells, 448 write cells) — the default
-    /// emulated backend. Override with `--capacity <r,w>`; a root
-    /// cross-check test keeps these numbers in sync with `ale-vtime`.
-    pub const DEFAULT: Capacity = Capacity {
-        reads: 4096,
-        writes: 448,
-    };
-}
-
 /// Everything the whole-program rules need.
 pub struct ProgramCtx<'a> {
     pub program: &'a Program,
-    /// Transitive effects per node, from [`crate::effects::propagate`].
-    pub effects: &'a [Effects],
+    /// Transitive lock sets per node, from [`crate::effects::propagate`].
+    pub locks: &'a [BTreeSet<String>],
     /// Files under a crate's `src/` — program rules only root there
     /// (reaching *into* test helpers still counts).
     pub src_files: &'a HashSet<String>,
-    pub capacity: Capacity,
 }
 
-/// Run the four whole-program rules. The returned findings have empty
+/// Run the two whole-program rules. The returned findings have empty
 /// `line_content` — the caller fills it from its file models (the rules
 /// here only see the parsed program).
 pub fn check_program(ctx: &ProgramCtx) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(swopt_purity_transitive(ctx));
-    out.extend(htm_body_hygiene_transitive(ctx));
     out.extend(lock_order_cycle(ctx));
-    out.extend(htm_footprint(ctx));
     out
 }
 
@@ -445,22 +332,18 @@ fn program_finding(rule: &'static str, file: &str, line0: usize, message: String
     }
 }
 
-/// Breadth-first reachability over call edges from `root`. With
-/// `naked_calls_only`, calls made inside a conflicting-region bracket are
-/// not followed (the SWOpt exemption). Returns the visit order (root
-/// excluded) and a parent map for witness-chain reconstruction.
-fn reach(
-    p: &Program,
-    root: NodeId,
-    naked_calls_only: bool,
-) -> (Vec<NodeId>, HashMap<NodeId, NodeId>) {
+/// Breadth-first reachability over call edges from `root`, not following
+/// calls made inside a conflicting-region bracket (the SWOpt exemption).
+/// Returns the visit order (root excluded) and a parent map for
+/// witness-chain reconstruction.
+fn reach(p: &Program, root: NodeId) -> (Vec<NodeId>, HashMap<NodeId, NodeId>) {
     let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
     let mut order = Vec::new();
     let mut seen: HashSet<NodeId> = HashSet::from([root]);
     let mut q = VecDeque::from([root]);
     while let Some(id) = q.pop_front() {
         for e in &p.edges[id] {
-            if naked_calls_only && p.nodes[id].ops[e.op_idx].cr_depth > 0 {
+            if p.nodes[id].ops[e.op_idx].cr_depth > 0 {
                 continue;
             }
             if seen.insert(e.callee) {
@@ -496,7 +379,7 @@ fn swopt_purity_transitive(ctx: &ProgramCtx) -> Vec<Finding> {
         if !n.swopt || !ctx.src_files.contains(&n.file) {
             continue;
         }
-        let (order, parent) = reach(p, root, true);
+        let (order, parent) = reach(p, root);
         for id in order {
             let m = &p.nodes[id];
             let bad = m.ops.iter().find_map(|op| {
@@ -504,16 +387,11 @@ fn swopt_purity_transitive(ctx: &ProgramCtx) -> Vec<Finding> {
                     return None;
                 }
                 match &op.kind {
-                    OpKind::Write {
-                        key,
-                        purity_relevant: true,
-                    } => Some((format!("write to `{key}`"), op.line)),
+                    OpKind::Write { key } => Some((format!("write to `{key}`"), op.line)),
                     OpKind::Acquire { lock } => {
                         Some((format!("lock acquisition on `{lock}`"), op.line))
                     }
-                    OpKind::Flag { bits, what } if bits & flag::ALLOC != 0 => {
-                        Some((format!("allocation (`{what}`)"), op.line))
-                    }
+                    OpKind::Alloc { what } => Some((format!("allocation (`{what}`)"), op.line)),
                     _ => None,
                 }
             });
@@ -524,64 +402,6 @@ fn swopt_purity_transitive(ctx: &ProgramCtx) -> Vec<Finding> {
                     n.line,
                     format!(
                         "SWOpt path `{}` reaches a {what} at {}:{} via {}",
-                        n.qual,
-                        m.file,
-                        line + 1,
-                        chain(p, &parent, root, id)
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Roots for the transitive HTM rules: `attempt(..)` extents plus
-/// `htm-body`-marked functions, in src files.
-fn htm_roots(ctx: &ProgramCtx) -> Vec<NodeId> {
-    ctx.program
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.htm_body && ctx.src_files.contains(&n.file))
-        .map(|(id, _)| id)
-        .collect()
-}
-
-/// `htm-body-hygiene-transitive`: a transaction body may not reach an
-/// allocation, IO, or thread-parking effect through any call chain. Direct
-/// body tokens are the line-local `htm-body-hygiene` rule's job.
-fn htm_body_hygiene_transitive(ctx: &ProgramCtx) -> Vec<Finding> {
-    let p = ctx.program;
-    let mut out = Vec::new();
-    for root in htm_roots(ctx) {
-        let n = &p.nodes[root];
-        let (order, parent) = reach(p, root, false);
-        for id in order {
-            let m = &p.nodes[id];
-            let bad = m.ops.iter().find_map(|op| match &op.kind {
-                OpKind::Flag { bits, what }
-                    if bits & (flag::ALLOC | flag::IO | flag::PARK) != 0 =>
-                {
-                    let kind = if bits & flag::ALLOC != 0 {
-                        "allocation"
-                    } else if bits & flag::IO != 0 {
-                        "IO"
-                    } else {
-                        "thread-parking"
-                    };
-                    Some((format!("{kind} (`{what}`)"), op.line))
-                }
-                _ => None,
-            });
-            if let Some((what, line)) = bad {
-                out.push(program_finding(
-                    "htm-body-hygiene-transitive",
-                    &n.file,
-                    n.line,
-                    format!(
-                        "HTM-executed code `{}` reaches {what} at {}:{} via {}: \
-                         aborts hardware transactions or leaks on abort",
                         n.qual,
                         m.file,
                         line + 1,
@@ -642,7 +462,7 @@ fn lock_order_cycle(ctx: &ProgramCtx) -> Vec<Finding> {
                 OpKind::Release { lock } => held.retain(|h| h != lock),
                 OpKind::Call { .. } if !held.is_empty() => {
                     for e in p.edges[id].iter().filter(|e| e.op_idx == op_idx) {
-                        for l in &ctx.effects[e.callee].locks {
+                        for l in &ctx.locks[e.callee] {
                             for h in &held {
                                 if h != l {
                                     graph
@@ -714,7 +534,7 @@ fn find_cycles(graph: &BTreeMap<String, BTreeMap<String, EdgeSite>>) -> Vec<Vec<
         graph: &'a BTreeMap<String, BTreeMap<String, EdgeSite>>,
         color: &mut HashMap<&'a str, u8>,
         stack: &mut Vec<&'a str>,
-        cycles: &mut std::collections::BTreeSet<Vec<String>>,
+        cycles: &mut BTreeSet<Vec<String>>,
     ) {
         color.insert(u, 1);
         stack.push(u);
@@ -747,42 +567,11 @@ fn find_cycles(graph: &BTreeMap<String, BTreeMap<String, EdgeSite>>) -> Vec<Vec<
 
     let mut color: HashMap<&str, u8> = HashMap::new();
     let mut stack = Vec::new();
-    let mut cycles = std::collections::BTreeSet::new();
+    let mut cycles = BTreeSet::new();
     for u in graph.keys() {
         if color.get(u.as_str()).copied().unwrap_or(0) == 0 {
             visit(u, graph, &mut color, &mut stack, &mut cycles);
         }
     }
     cycles.into_iter().collect()
-}
-
-/// `htm-footprint`: a transaction body's transitive footprint estimate must
-/// fit the backend's best-effort capacity; oversized transactions can never
-/// commit on hardware and burn their retry budget before falling back.
-fn htm_footprint(ctx: &ProgramCtx) -> Vec<Finding> {
-    let p = ctx.program;
-    let mut out = Vec::new();
-    for root in htm_roots(ctx) {
-        let n = &p.nodes[root];
-        let e = &ctx.effects[root];
-        for (cells, cap, kind) in [
-            (e.read_cells(), ctx.capacity.reads, "read"),
-            (e.write_cells(), ctx.capacity.writes, "write"),
-        ] {
-            if cells > cap {
-                out.push(program_finding(
-                    "htm-footprint",
-                    &n.file,
-                    n.line,
-                    format!(
-                        "HTM-executed code `{}` has an estimated transitive {kind} footprint \
-                         of ~{cells} distinct cells, exceeding the backend best-effort {kind} \
-                         capacity of {cap} (override with --capacity <r,w>)",
-                        n.qual
-                    ),
-                ));
-            }
-        }
-    }
-    out
 }

@@ -2,15 +2,15 @@
 //! same idiom as the other crates' `tests/prop.rs`).
 //!
 //! Three contracts the whole-program rules lean on:
-//! * the full pipeline (lex → parse → call graph → effects → rules) never
-//!   panics, whatever bytes or token soup it is fed;
-//! * effect propagation reaches a genuine fixed point and terminates, on
+//! * the full pipeline (lex → parse → call graph → lock sets → rules)
+//!   never panics, whatever bytes or token soup it is fed;
+//! * lock-set propagation reaches a genuine fixed point and terminates, on
 //!   arbitrary call topologies including cycles;
 //! * propagation is monotone — adding call edges can only grow (never
-//!   shrink) any node's effect set.
+//!   shrink) any node's lock set.
 
 use ale_lint::callgraph::CallEdge;
-use ale_lint::effects::{local_effects, propagate};
+use ale_lint::effects::{local_locks, propagate};
 use ale_lint::Analysis;
 use proptest::prelude::*;
 
@@ -126,22 +126,22 @@ proptest! {
     ) {
         let analysis = analyze(&gen_source(fns, &ops));
         let p = &analysis.program;
-        let eff = &analysis.effects;
+        let locks = &analysis.locks;
         for (id, node) in p.nodes.iter().enumerate() {
             prop_assert!(
-                eff[id].subsumes(&local_effects(&node.ops)),
-                "node {id} lost local effects"
+                locks[id].is_superset(&local_locks(&node.ops)),
+                "node {id} lost local locks"
             );
             for e in &p.edges[id] {
                 prop_assert!(
-                    eff[id].subsumes(&eff[e.callee]),
-                    "node {id} missing callee {} effects", e.callee
+                    locks[id].is_superset(&locks[e.callee]),
+                    "node {id} missing callee {} locks", e.callee
                 );
             }
         }
     }
 
-    /// Monotonicity: adding a call edge can only grow effect sets.
+    /// Monotonicity: adding a call edge can only grow lock sets.
     #[test]
     fn propagation_is_monotone_under_added_edges(
         fns in 2usize..8,
@@ -150,7 +150,7 @@ proptest! {
         extra_to in 0usize..8,
     ) {
         let mut analysis = analyze(&gen_source(fns, &ops));
-        let before = analysis.effects.clone();
+        let before = analysis.locks.clone();
         let n = analysis.program.nodes.len();
         prop_assert!(n >= 2);
         let (from, to) = (extra_from % n, extra_to % n);
@@ -158,8 +158,8 @@ proptest! {
         let after = propagate(&analysis.program);
         for id in 0..n {
             prop_assert!(
-                after[id].subsumes(&before[id]),
-                "effects shrank at node {id} after adding edge {from}→{to}"
+                after[id].is_superset(&before[id]),
+                "locks shrank at node {id} after adding edge {from}→{to}"
             );
         }
     }

@@ -75,33 +75,6 @@ fn swopt_purity_bad_flags_each_write_kind() {
 }
 
 #[test]
-fn htm_body_good_is_clean() {
-    assert_clean("htm_body_good.rs", "htm-body-hygiene");
-}
-
-#[test]
-fn htm_body_bad_flags_all_six_hazards() {
-    let findings = lint_fixture("htm_body_bad.rs", "htm-body-hygiene");
-    assert_eq!(findings.len(), 6, "{findings:#?}");
-    for tok in ["Box", "push", "println", "panic", "unwrap", "expect"] {
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains(&format!("`{tok}`"))),
-            "missing `{tok}` finding in {findings:#?}"
-        );
-    }
-}
-
-#[test]
-fn htm_body_trace_emits_are_exempt() {
-    // `trace::emit(..)` / `ale_trace::emit(..)` spans inside transaction
-    // bodies are skipped wholesale — including an `.unwrap()` that sits
-    // inside an emit's argument list.
-    assert_clean("htm_body_trace_good.rs", "htm-body-hygiene");
-}
-
-#[test]
 fn ordering_good_is_clean() {
     assert_clean("ordering_good.rs", "ordering-discipline");
 }
@@ -177,35 +150,6 @@ fn swopt_transitive_bad_flags_write_lock_and_alloc_chains() {
 }
 
 #[test]
-fn htm_transitive_good_is_clean() {
-    assert_clean("htm_transitive_good.rs", "htm-body-hygiene-transitive");
-}
-
-#[test]
-fn htm_transitive_bad_flags_io_and_park_chains() {
-    let findings = lint_fixture("htm_transitive_bad.rs", "htm-body-hygiene-transitive");
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    let io = findings
-        .iter()
-        .find(|f| f.message.contains("IO (`println!`)"))
-        .expect("IO finding");
-    assert!(
-        io.message
-            .contains("`attempt(..) in run` reaches IO (`println!`)"),
-        "{}",
-        io.message
-    );
-    assert!(io
-        .message
-        .contains("via attempt(..) in run → log_it → format_row"));
-    let park = findings
-        .iter()
-        .find(|f| f.message.contains("thread-parking (`sleep(`)"))
-        .expect("park finding");
-    assert!(park.message.contains("via hot_path → helper_sleep"));
-}
-
-#[test]
 fn lock_cycle_good_is_clean() {
     assert_clean("lock_cycle_good.rs", "lock-order-cycle");
 }
@@ -223,46 +167,6 @@ fn lock_cycle_bad_reports_the_exact_acquisition_path() {
     assert!(msg.contains(
         "`slot` → `mlock` at fixtures/lock_cycle_bad.rs:14 (in `Db::rebalance`, via `grab_meta`)"
     ));
-}
-
-#[test]
-fn footprint_good_is_clean() {
-    assert_clean("footprint_good.rs", "htm-footprint");
-}
-
-#[test]
-fn footprint_bad_exceeds_default_write_capacity() {
-    // Default (haswell-shaped) capacity: the looped 8-cell write set
-    // estimates to 512 > 448; the 2112-cell read estimate still fits 4096.
-    let findings = lint_fixture("footprint_bad.rs", "htm-footprint");
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert!(findings[0].message.contains("write footprint of ~512"));
-    assert!(findings[0].message.contains("capacity of 448"));
-}
-
-#[test]
-fn footprint_bad_exceeds_rock_read_and_write_capacity() {
-    // With the rock-profile limits (2048 reads, 32 writes — see
-    // `HtmProfile::rock` in ale-vtime) both directions overflow.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/footprint_bad.rs");
-    let src = std::fs::read_to_string(path).unwrap();
-    let analysis =
-        ale_lint::Analysis::of_sources(vec![("fixtures/footprint_bad.rs".to_string(), src, true)]);
-    let findings: Vec<_> = analysis
-        .findings(ale_lint::Capacity {
-            reads: 2048,
-            writes: 32,
-        })
-        .into_iter()
-        .filter(|f| f.rule == "htm-footprint")
-        .collect();
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("read footprint of ~2112")));
-    assert!(findings
-        .iter()
-        .any(|f| f.message.contains("write footprint of ~512")));
 }
 
 #[test]
