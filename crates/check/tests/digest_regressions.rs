@@ -18,7 +18,8 @@
 //! Each test holds [`ale_trace::test_serial`]: one simulation at a time in
 //! this binary, so none sees another's HTM clock traffic.
 
-use ale_check::{run_once, CheckConfig, StrategyKind, Workload};
+use ale_check::{run_once, CheckConfig, CrashSpec, StrategyKind, Workload};
+use ale_htm::{CrashPoint, TornMode};
 
 /// The pinned scenario-pack digests: (workload, digest).
 ///
@@ -30,7 +31,14 @@ use ale_check::{run_once, CheckConfig, StrategyKind, Workload};
 ///   now records statistics on the shipped path (a stack delta flushed
 ///   when the section ends, no tick), so the `tick(Event::Cas)` each
 ///   recorded event used to pay — a scheduler yield point — is gone.
-const PINNED: [(Workload, u64); 5] = [
+///
+/// The three map microbenchmarks (`hashmap`, `kyoto`, `durable`) joined in
+/// PR 34, blessed at PR 33's tree before their oracles were merged into
+/// `workloads/kv.rs`.
+const PINNED: [(Workload, u64); 8] = [
+    (Workload::HashMap, 0x6468_9b65_2ea3_d814),
+    (Workload::Kyoto, 0x1d80_f7c0_c88d_1156),
+    (Workload::Durable, 0xaba3_4586_91db_1d57),
     (Workload::Ttl, 0x413a_e78d_0ac6_6822),
     (Workload::Queue, 0x2d14_ab8c_9a60_08cd),
     (Workload::Transfer, 0xd97a_046b_883e_7db5),
@@ -49,6 +57,12 @@ const SHARD_PINNED: [(StrategyKind, u64); 5] = [
     (StrategyKind::MostConflicting, 0xe0fd_516d_3196_6cfc),
     (StrategyKind::Reorder, 0xfd11_cdc1_cdaf_1b0a),
 ];
+
+/// The durable workload killed mid-run: a crash before the slot commit of
+/// the twelfth workload-phase append, with the tail record truncated. Pins
+/// the crash stop, the in-flight record and recovery on top of the op
+/// stream `PINNED` already covers.
+const DURABLE_CRASH_PINNED: u64 = 0x67cb_9440_bfd6_99af;
 
 fn pinned_config(workload: Workload) -> CheckConfig {
     CheckConfig {
@@ -122,6 +136,39 @@ fn shard_digests_are_pinned_across_all_strategies() {
             strategy, outcome.digest
         );
     }
+}
+
+#[test]
+fn durable_crash_digest_is_pinned() {
+    let _g = ale_trace::test_serial();
+    let cfg = CheckConfig {
+        crash: Some(CrashSpec {
+            point: CrashPoint::PreCommit,
+            after: 12,
+        }),
+        torn: Some(TornMode::Truncate),
+        ..pinned_config(Workload::Durable)
+    };
+    let outcome = run_once(&cfg);
+    if std::env::var_os("BLESS").is_some() {
+        println!(
+            "const DURABLE_CRASH_PINNED: u64 = {:#018x};",
+            outcome.digest
+        );
+        return;
+    }
+    assert!(outcome.crashed, "the pinned crash plan must fire");
+    assert!(
+        outcome.violations.is_empty(),
+        "durable/crash: pinned schedule must be clean: {:?}",
+        outcome.violations
+    );
+    assert_eq!(
+        outcome.digest, DURABLE_CRASH_PINNED,
+        "durable/crash: digest drifted to {:#018x} — the op stream, the crash \
+         stop or recovery changed; re-bless only if the change is intentional",
+        outcome.digest
+    );
 }
 
 #[test]
