@@ -17,7 +17,10 @@
 //! * the **per-CS overhead** — empty critical sections through the full
 //!   adaptive entry/exit against a modeled raw `std::sync::Mutex` fast
 //!   path, uncontended and 8-thread contended, with an in-binary gate on
-//!   the uncontended ratio.
+//!   the uncontended ratio;
+//! * the **regret** cell — Fig. 5 (Kyoto `wicked`) on Haswell at 8 threads,
+//!   `Adaptive-All` against each static variant of the figure's set, with
+//!   adaptive ÷ best static as a gated `speedup` leaf.
 //!
 //! The output is committed as `BENCH_<n>.json` at the repo root, one file
 //! per PR, so the numbers form a trajectory reviewers can diff. Everything
@@ -27,8 +30,9 @@
 
 use std::sync::Arc;
 
+use ale_bench::figures::{fig5_cell, FigOpts};
 use ale_bench::harness::{run_hashmap, run_sharded, HashMapWorkload, BENCH_SLACK_NS};
-use ale_bench::{run_storm, StormConfig, Variant};
+use ale_bench::{run_storm, RunResult, StormConfig, Variant};
 use ale_core::{scope, Ale, AleConfig, CsOptions, StaticPolicy};
 use ale_kyoto::{
     prefill, recover, wicked_op, AleCacheDb, DbConfig, DurableCacheDb, KyotoDb, Wal, WickedConfig,
@@ -395,6 +399,65 @@ fn per_cs_overhead_section(opts: &Opts) -> String {
     )
 }
 
+/// The first regret cell: the Fig. 5 Haswell 8-thread cell under
+/// `Adaptive-All` and under every static variant of the figure's set,
+/// each run exactly as `figures fig5` runs it (at this binary's seed).
+fn regret_section(opts: &Opts) -> String {
+    let platform = Platform::haswell();
+    let threads = 8;
+    let fig = FigOpts {
+        quick: opts.quick,
+        seed: opts.seed,
+    };
+    let adaptive = fig5_cell(fig, &platform, Variant::AdaptiveAll, threads);
+    let statics: Vec<RunResult> = Variant::figure_set(&platform)
+        .into_iter()
+        .filter(|v| {
+            matches!(
+                v,
+                Variant::StaticHl(_) | Variant::StaticSl(_) | Variant::StaticAll(..)
+            )
+        })
+        .map(|v| fig5_cell(fig, &platform, v, threads))
+        .collect();
+    let best = statics
+        .iter()
+        .max_by(|a, b| a.mops.total_cmp(&b.mops))
+        .expect("Haswell's figure set has static variants");
+    let speedup = adaptive.mops / best.mops;
+    eprintln!(
+        "  regret: fig5 haswell {threads}t Adaptive-All {:.3} Mops/s, best static {} {:.3}, \
+         adaptive/best x{speedup:.3}",
+        adaptive.mops, best.variant, best.mops
+    );
+    let variants: Vec<String> = std::iter::once(&adaptive)
+        .chain(&statics)
+        .map(|r| format!("      \"{}\": {{ \"mops\": {:.4} }}", r.variant, r.mops))
+        .collect();
+    format!(
+        concat!(
+            "{{\n",
+            "    \"cell\": \"fig5 wicked\",\n",
+            "    \"platform\": \"haswell\",\n",
+            "    \"threads\": {},\n",
+            "    \"total_ops\": {},\n",
+            "    \"variants\": {{\n{}\n    }},\n",
+            "    \"best_static\": \"{}\",\n",
+            "    \"adaptive_mops\": {:.4},\n",
+            "    \"best_static_mops\": {:.4},\n",
+            "    \"adaptive_over_best_static_speedup\": {:.4}\n",
+            "  }}"
+        ),
+        threads,
+        adaptive.total_ops,
+        variants.join(",\n"),
+        best.variant,
+        adaptive.mops,
+        best.mops,
+        speedup
+    )
+}
+
 fn main() {
     let mut opts = Opts {
         quick: false,
@@ -435,6 +498,7 @@ fn main() {
     let storm = storm_section(&opts);
     let durability = durability_section(&opts);
     let per_cs = per_cs_overhead_section(&opts);
+    let regret = regret_section(&opts);
 
     let json = format!(
         concat!(
@@ -446,10 +510,11 @@ fn main() {
             "  \"sharded\": {},\n",
             "  \"storm_recovery\": {},\n",
             "  \"durability\": {},\n",
-            "  \"per_cs_overhead\": {}\n",
+            "  \"per_cs_overhead\": {},\n",
+            "  \"regret\": {}\n",
             "}}\n"
         ),
-        opts.seed, opts.quick, fig2, sharded, storm, durability, per_cs
+        opts.seed, opts.quick, fig2, sharded, storm, durability, per_cs, regret
     );
     print!("{json}");
     if let Some(path) = &opts.out {

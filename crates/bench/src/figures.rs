@@ -257,15 +257,6 @@ pub fn fig4(opts: FigOpts) -> Table {
 /// Figure 5: Kyoto Cabinet `wicked` throughput vs threads (nested RW-lock +
 /// slot-lock critical sections), on Haswell and T2-2.
 pub fn fig5(opts: FigOpts) -> Table {
-    let total_ops: u64 = if opts.quick { 3_000 } else { 16_000 };
-    // No whole-database ops in the throughput figure: one `count` scans
-    // every record under the exclusive lock and swamps the virtual-time
-    // makespan (it stars in `stats-nomutate` instead).
-    let cfg = WickedConfig {
-        key_space: 16 * 1024,
-        count_permille: 0,
-        ..Default::default()
-    };
     let mut rows = Vec::new();
     let mut prom = None;
     for platform in [Platform::haswell(), Platform::t2()] {
@@ -275,19 +266,7 @@ pub fn fig5(opts: FigOpts) -> Table {
             .collect();
         for variant in Variant::figure_set(&platform) {
             for &t in &threads {
-                let r = run_kyoto(
-                    platform.clone(),
-                    variant,
-                    t,
-                    &cfg,
-                    ops_per_lane(total_ops, t),
-                    if variant.is_ale() {
-                        warmup_per_lane(opts, t)
-                    } else {
-                        200
-                    },
-                    opts.seed ^ 0x5A ^ (t as u64) << 8,
-                );
+                let r = fig5_cell(opts, &platform, variant, t);
                 eprintln!(
                     "  fig5: {} {} t={t}: {:.3} Mops/s",
                     r.platform, r.variant, r.mops
@@ -304,6 +283,38 @@ pub fn fig5(opts: FigOpts) -> Table {
         rows,
         prom,
     }
+}
+
+/// One Fig. 5 cell: the Kyoto `wicked` benchmark on `platform` under
+/// `variant` with `threads` lanes, exactly as [`fig5`] runs it.
+pub fn fig5_cell(
+    opts: FigOpts,
+    platform: &Platform,
+    variant: Variant,
+    threads: usize,
+) -> RunResult {
+    let total_ops: u64 = if opts.quick { 3_000 } else { 16_000 };
+    // No whole-database ops in the throughput figure: one `count` scans
+    // every record under the exclusive lock and swamps the virtual-time
+    // makespan (it stars in `stats-nomutate` instead).
+    let cfg = WickedConfig {
+        key_space: 16 * 1024,
+        count_permille: 0,
+        ..Default::default()
+    };
+    run_kyoto(
+        platform.clone(),
+        variant,
+        threads,
+        &cfg,
+        ops_per_lane(total_ops, threads),
+        if variant.is_ale() {
+            warmup_per_lane(opts, threads)
+        } else {
+            200
+        },
+        opts.seed ^ 0x5A ^ (threads as u64) << 8,
+    )
 }
 
 /// The §5 inline statistics: `nomutate` on T2-2 (≈42 % misses succeed via

@@ -13,6 +13,9 @@
 //! validation — returns a value whose embedded key disagrees with the one
 //! requested, and the integrity oracle fires.
 //!
+//! The four map-shaped workloads (`hashmap`, `kyoto`, `durable`, `shard`)
+//! share one key-value oracle, `kv.rs`.
+//!
 //! Two tiers of workloads share this module:
 //!
 //! * **Microbenchmark subjects** ([`Workload::HashMap`], [`Workload::Kyoto`],
@@ -35,6 +38,7 @@ pub mod shadow;
 mod bank;
 mod durable;
 mod hashmap;
+mod kv;
 mod kyoto;
 mod nested;
 mod panic;
@@ -269,9 +273,10 @@ pub(crate) fn integrity_ok(key: u64, val: u64) -> bool {
 pub(crate) const STABLE_KEYS: std::ops::Range<u64> = 1..9;
 pub(crate) const STABLE_COUNT: usize = (STABLE_KEYS.end - STABLE_KEYS.start) as usize;
 pub(crate) const CHURN_PER_LANE: usize = 4;
+pub(crate) const CHURN_BASE: u64 = 0x100;
 
 pub(crate) fn churn_key(lane: usize, j: usize) -> u64 {
-    0x100 + (lane as u64) * CHURN_PER_LANE as u64 + j as u64
+    CHURN_BASE + (lane as u64) * CHURN_PER_LANE as u64 + j as u64
 }
 
 pub(crate) const ACCOUNTS: usize = 12;

@@ -32,15 +32,23 @@ pub trait ShadowModel {
 }
 
 // ---------------------------------------------------------------------------
-// Key/value shadow (hashmap, kyoto, registry fills)
+// Key/value shadow (hashmap, kyoto, durable, shard)
 // ---------------------------------------------------------------------------
 
-/// Per-lane shadow of the churn keys this lane owns (sole writer).
+/// Per-lane shadow of the `N` keys a lane owns (sole writer): presence,
+/// value and generation per slot, plus an insert/remove ledger whose
+/// difference is the lane's exact contribution to the subject's live-key
+/// count. The map workloads check every read, `insert` and `remove` of
+/// their keys against it (`workloads/kv.rs`).
 #[derive(Clone)]
-pub struct KvShadow {
-    pub present: [bool; CHURN_PER_LANE],
-    pub value: [u64; CHURN_PER_LANE],
-    pub generation: [u64; CHURN_PER_LANE],
+pub struct KvShadow<const N: usize> {
+    pub present: [bool; N],
+    pub value: [u64; N],
+    pub generation: [u64; N],
+    /// Successful new insertions (presence false → true).
+    pub inserted: u64,
+    /// Successful removals (presence true → false).
+    pub removed: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -49,107 +57,23 @@ pub enum KvOp {
     Insert { slot: usize, value: u64 },
     /// Remove the slot's key.
     Remove { slot: usize },
-}
-
-impl KvShadow {
-    pub fn new() -> Self {
-        KvShadow {
-            present: [false; CHURN_PER_LANE],
-            value: [0; CHURN_PER_LANE],
-            generation: [0; CHURN_PER_LANE],
-        }
-    }
-
-    /// Insert, returning `true` when the key was newly inserted (the
-    /// map's `insert` contract).
-    pub fn insert(&mut self, slot: usize, value: u64) -> bool {
-        let newly = !self.present[slot];
-        self.present[slot] = true;
-        self.value[slot] = value;
-        self.generation[slot] += 1;
-        newly
-    }
-
-    /// Remove, returning whether the key was present.
-    pub fn remove(&mut self, slot: usize) -> bool {
-        std::mem::replace(&mut self.present[slot], false)
-    }
-}
-
-impl Default for KvShadow {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShadowModel for KvShadow {
-    type Op = KvOp;
-    /// `true` = the op changed presence (newly inserted / was present).
-    type Obs = bool;
-
-    fn apply(&mut self, op: &KvOp) -> bool {
-        match *op {
-            KvOp::Insert { slot, value } => self.insert(slot, value),
-            KvOp::Remove { slot } => self.remove(slot),
-        }
-    }
-
-    fn fold(&self, h: &mut Fnv) {
-        for j in 0..CHURN_PER_LANE {
-            h.write(&[self.present[j] as u8]);
-            h.write_u64(self.value[j]);
-            h.write_u64(self.generation[j]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-map shadow
-// ---------------------------------------------------------------------------
-
-/// Lane-owned slots of the sharded-map workload. Wider than
-/// [`CHURN_PER_LANE`] so one lane's keys land on *many* shards — the point
-/// of the shard workload is linearizability across shard boundaries, so a
-/// lane must routinely mutate several shards within one op window.
-pub const SHARD_SLOTS: usize = 8;
-
-/// Per-lane shadow for the sharded map: presence, value, and generation per
-/// owned slot, plus an insert/remove ledger whose difference is the lane's
-/// exact contribution to the map's live-key count — the per-shard
-/// count-vs-enumeration parity oracle sums these at quiescence.
-#[derive(Clone)]
-pub struct ShardShadow {
-    pub present: [bool; SHARD_SLOTS],
-    pub value: [u64; SHARD_SLOTS],
-    pub generation: [u64; SHARD_SLOTS],
-    /// Successful new insertions (presence false → true).
-    pub inserted: u64,
-    /// Successful removals (presence true → false).
-    pub removed: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-pub enum ShardOp {
-    /// (Re-)insert `value` under the slot's key.
-    Insert { slot: usize, value: u64 },
-    /// Remove the slot's key.
-    Remove { slot: usize },
     /// Look the slot's key up.
     Get { slot: usize },
 }
 
-impl ShardShadow {
+impl<const N: usize> KvShadow<N> {
     pub fn new() -> Self {
-        ShardShadow {
-            present: [false; SHARD_SLOTS],
-            value: [0; SHARD_SLOTS],
-            generation: [0; SHARD_SLOTS],
+        KvShadow {
+            present: [false; N],
+            value: [0; N],
+            generation: [0; N],
             inserted: 0,
             removed: 0,
         }
     }
 
-    /// Insert, returning `true` when the key was newly inserted.
+    /// Insert, returning `true` when the key was newly inserted (the
+    /// map's `insert` contract).
     pub fn insert(&mut self, slot: usize, value: u64) -> bool {
         let newly = !self.present[slot];
         self.present[slot] = true;
@@ -171,39 +95,39 @@ impl ShardShadow {
         self.present[slot].then_some(self.value[slot])
     }
 
-    /// This lane's net contribution to the map's live-key count.
+    /// This lane's net contribution to the subject's live-key count.
     pub fn live_count(&self) -> u64 {
         self.inserted - self.removed
     }
 }
 
-impl Default for ShardShadow {
+impl<const N: usize> Default for KvShadow<N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl ShadowModel for ShardShadow {
-    type Op = ShardOp;
+impl<const N: usize> ShadowModel for KvShadow<N> {
+    type Op = KvOp;
     /// `Get` → the live value; `Insert`/`Remove` → 1 when presence changed.
     type Obs = Option<u64>;
 
-    fn apply(&mut self, op: &ShardOp) -> Option<u64> {
+    fn apply(&mut self, op: &KvOp) -> Option<u64> {
         match *op {
-            ShardOp::Insert { slot, value } => Some(self.insert(slot, value) as u64),
-            ShardOp::Remove { slot } => Some(self.remove(slot) as u64),
-            ShardOp::Get { slot } => self.live(slot),
+            KvOp::Insert { slot, value } => Some(self.insert(slot, value) as u64),
+            KvOp::Remove { slot } => Some(self.remove(slot) as u64),
+            KvOp::Get { slot } => self.live(slot),
         }
     }
 
+    /// The slots only: the ledger follows from their history, and only the
+    /// shard workload folds it (its pinned digests carry it).
     fn fold(&self, h: &mut Fnv) {
-        for j in 0..SHARD_SLOTS {
+        for j in 0..N {
             h.write(&[self.present[j] as u8]);
             h.write_u64(self.value[j]);
             h.write_u64(self.generation[j]);
         }
-        h.write_u64(self.inserted);
-        h.write_u64(self.removed);
     }
 }
 

@@ -8,7 +8,9 @@
 //! explicit migrate-step op — each one an elided critical section racing
 //! every concurrent optimistic lookup.
 //!
-//! Oracles, in the order they catch the compile-gated mutations:
+//! The read, write and quiescent checks are the key-value oracle's
+//! (`kv.rs`); this file adds the migration driver and the shard oracles.
+//! In the order they catch the compile-gated mutations:
 //!
 //! * **Torn lookup** (`mut-resize-skip-republish`): stable keys are
 //!   inserted before the run and never mutated, so *any* read reporting
@@ -16,9 +18,10 @@
 //!   whose version bump came too late — is a violation. Own-key reads
 //!   check exact read-your-writes against the owner shadow.
 //! * **Lost key** (`mut-shard-route-stale`): every insert is immediately
-//!   re-read through the public lookup path; a key routed into a bucket
-//!   the (correctly-masked) lookup never visits fails right there, and
-//!   again at the quiescent final-state sweep.
+//!   re-read through the public lookup path, whose own-key check wants
+//!   exactly the value just written; a key routed into a bucket the
+//!   (correctly-masked) lookup never visits fails right there, and again
+//!   at the quiescent final-state sweep.
 //! * **Cursor monotonicity**: lanes poll each shard's published
 //!   `[cur, prev, cursor, epoch]` and require the epoch to never regress
 //!   and the cursor to never move backwards within an epoch.
@@ -34,26 +37,31 @@ use ale_core::{Ale, AleConfig, StaticPolicy};
 use ale_hashmap::{AleShardedMap, ShardedMapConfig};
 use ale_vtime::{tick, Event, Zipf};
 
-use super::shadow::{ShadowModel, ShardShadow, SHARD_SLOTS};
-use super::{
-    encode, integrity_ok, lane_rng, sim_for, Violations, WorkloadOutcome, STABLE_COUNT, STABLE_KEYS,
-};
+use super::kv::{fill_stable, KvCheck};
+use super::shadow::{KvShadow, ShadowModel};
+use super::{lane_rng, sim_for, Violations, WorkloadOutcome, STABLE_COUNT, STABLE_KEYS};
 use crate::{CheckConfig, Fnv};
 
-/// Lane-owned keys, disjoint from [`STABLE_KEYS`] and spread across
-/// shards by the Fibonacci router.
-fn slot_key(lane: usize, j: usize) -> u64 {
-    0x1000 + (lane as u64) * SHARD_SLOTS as u64 + j as u64
-}
+/// Lane-owned slots. Wider than the other map workloads' four so one
+/// lane's keys land on *many* shards — the point of this workload is
+/// linearizability across shard boundaries, so a lane must routinely
+/// mutate several shards within one op window.
+const SHARD_SLOTS: usize = 8;
+
+/// The first lane-owned key: lane-owned keys are disjoint from
+/// [`STABLE_KEYS`] and spread across shards by the Fibonacci router.
+const SLOT_BASE: u64 = 0x1000;
+
+type ShardCheck<'a> = KvCheck<'a, AleShardedMap<u64>, SHARD_SLOTS>;
 
 /// The read key space: stable keys first (so Zipf rank 0 lands on a
 /// never-mutated key), then every lane's owned slots.
-fn read_key(rank: u64) -> u64 {
+fn read_key(kv: &ShardCheck, rank: u64) -> u64 {
     if rank < STABLE_COUNT as u64 {
         STABLE_KEYS.start + rank
     } else {
         let r = rank - STABLE_COUNT as u64;
-        slot_key(
+        kv.key(
             (r / SHARD_SLOTS as u64) as usize,
             (r % SHARD_SLOTS as u64) as usize,
         )
@@ -82,24 +90,22 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
             .with_max_load_permille(800)
             .with_migrate_steps_per_op(0),
     );
-    for key in STABLE_KEYS {
-        map.insert(key, encode(key, 0));
-    }
+    fill_stable(&map);
 
     let threads = cfg.threads as u64;
     let key_space = STABLE_COUNT as u64 + threads * SHARD_SLOTS as u64;
     let zipf = (cfg.zipf_milli > 0).then(|| Zipf::new(key_space, cfg.zipf_milli as f64 / 1000.0));
 
     let violations = Violations::new();
-    let v = &violations;
-    let map_ref = &map;
+    let kv = ShardCheck::new(cfg, &map, &violations, SLOT_BASE);
+    let kv = &kv;
     let zipf_ref = &zipf;
     let report = sim_for(cfg).run(|lane| {
         let id = lane.id();
         let mut rng = lane_rng(cfg, id);
-        let mut shadow = ShardShadow::new();
+        let mut shadow = KvShadow::<SHARD_SLOTS>::new();
         // Last published [epoch, cursor] seen per shard, for monotonicity.
-        let mut last_meta = vec![[0u64; 2]; map_ref.shard_count()];
+        let mut last_meta = vec![[0u64; 2]; map.shard_count()];
         for _ in 0..cfg.ops {
             match rng.gen_range(10) {
                 0..=4 => {
@@ -109,90 +115,37 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
                         Some(z) => z.sample(&mut rng),
                         None => rng.gen_range(key_space),
                     };
-                    let key = read_key(rank);
-                    let mut val = 0u64;
-                    let found = map_ref.get(key, &mut val);
-                    if found && !integrity_ok(key, val) {
-                        v.record(format!(
-                            "shard: get({key:#x}) returned value {val:#x} belonging to key {:#x}",
-                            val & 0xFFFF
-                        ));
-                    }
-                    if STABLE_KEYS.contains(&key) {
-                        if !found {
-                            v.record(format!(
-                                "shard: stable key {key:#x} reported absent (torn lookup)"
-                            ));
-                        } else if val != encode(key, 0) {
-                            v.record(format!(
-                                "shard: stable key {key:#x} value changed to {val:#x}"
-                            ));
-                        }
-                    } else if key >= slot_key(id, 0) && key < slot_key(id, SHARD_SLOTS) {
-                        // Our own key: single-writer ownership makes the
-                        // shadow exact even mid-run.
-                        let j = (key - slot_key(id, 0)) as usize;
-                        let expect = shadow.live(j);
-                        if found != expect.is_some() || (found && Some(val) != expect) {
-                            v.record(format!(
-                                "shard: own key {key:#x} read {:?}, shadow says {expect:?}",
-                                found.then_some(val)
-                            ));
-                        }
-                    }
+                    kv.read(id, &shadow, read_key(kv, rank));
                 }
                 5 | 6 => {
                     // (Re-)insert one of our slots, then read it straight
                     // back: a misrouted link is invisible to the lookup
                     // path and fails here.
-                    let j = rng.gen_range(SHARD_SLOTS as u64) as usize;
-                    let key = slot_key(id, j);
-                    let expect_newly = !shadow.present[j];
-                    let val = encode(key, shadow.generation[j] + 1);
-                    shadow.insert(j, val);
-                    let newly = map_ref.insert(key, val);
-                    if newly != expect_newly {
-                        v.record(format!(
-                            "shard: insert({key:#x}) returned newly={newly} but shadow says newly={expect_newly}"
-                        ));
-                    }
-                    let mut got = 0u64;
-                    if !map_ref.get(key, &mut got) {
-                        v.record(format!(
-                            "shard: own key {key:#x} absent immediately after insert (lost key)"
-                        ));
-                    } else if got != val {
-                        v.record(format!(
-                            "shard: own key {key:#x} read {got:#x} immediately after inserting {val:#x}"
-                        ));
-                    }
+                    let j = kv.slot(&mut rng);
+                    let (key, val) = kv.next_value(&shadow, id, j);
+                    kv.inserted(&mut shadow, j, key, val, map.insert(key, val));
+                    kv.read(id, &shadow, key);
                 }
                 7 => {
                     // Remove one of our slots.
-                    let j = rng.gen_range(SHARD_SLOTS as u64) as usize;
-                    let key = slot_key(id, j);
-                    let was = map_ref.remove(key);
-                    if was != shadow.remove(j) {
-                        v.record(format!(
-                            "shard: remove({key:#x}) returned {was} but shadow says present={}",
-                            !was
-                        ));
-                    }
+                    let j = kv.slot(&mut rng);
+                    let key = kv.key(id, j);
+                    kv.removed(&mut shadow, j, key, map.remove(key));
                 }
                 8 => {
                     // Drive one migration chain move on a random shard,
                     // then check the published cursor never regresses.
-                    let si = rng.gen_range(map_ref.shard_count() as u64) as usize;
-                    map_ref.migrate_step(si);
-                    let [_, _, cursor, epoch] = map_ref.migration_state(si);
+                    let si = rng.gen_range(map.shard_count() as u64) as usize;
+                    map.migrate_step(si);
+                    let [_, _, cursor, epoch] = map.migration_state(si);
                     let [le, lc] = last_meta[si];
                     if epoch < le {
-                        v.record(format!(
-                            "shard: shard {si} epoch moved backwards ({le} -> {epoch})"
+                        kv.violation(format_args!(
+                            "shard {si} epoch moved backwards ({le} -> {epoch})"
                         ));
                     } else if epoch == le && cursor < lc {
-                        v.record(format!(
-                            "shard: shard {si} cursor moved backwards ({lc} -> {cursor}) in epoch {epoch}"
+                        kv.violation(format_args!(
+                            "shard {si} cursor moved backwards ({lc} -> {cursor}) in epoch {epoch}"
                         ));
                     }
                     last_meta[si] = [epoch, cursor];
@@ -204,80 +157,53 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
     });
 
     // Quiescent oracles: owner shadows are the truth now.
-    let mut expected_len = STABLE_COUNT as u64;
-    let mut expected_per_shard = vec![0u64; map.shard_count()];
     for key in STABLE_KEYS {
-        expected_per_shard[map.shard_of(key)] += 1;
-        let mut val = 0u64;
-        if !map.get(key, &mut val) {
-            violations.record(format!("shard: stable key {key:#x} absent after the run"));
-        } else if val != encode(key, 0) {
-            violations.record(format!(
-                "shard: stable key {key:#x} ended as {val:#x}, expected {:#x}",
-                encode(key, 0)
-            ));
-        }
+        kv.stable_final(key);
     }
-    for (id, shadow) in report.results.iter().enumerate() {
-        for j in 0..SHARD_SLOTS {
-            let key = slot_key(id, j);
-            let mut val = 0u64;
-            let found = map.get(key, &mut val);
-            if found != shadow.present[j] {
-                violations.record(format!(
-                    "shard: final state of {key:#x} is present={found}, owner shadow says {}",
-                    shadow.present[j]
-                ));
-            } else if found {
-                if val != shadow.value[j] {
-                    violations.record(format!(
-                        "shard: final value of {key:#x} is {val:#x}, owner shadow says {:#x} (lost update)",
-                        shadow.value[j]
-                    ));
-                }
-                expected_per_shard[map.shard_of(key)] += 1;
-            }
-        }
-        expected_len += shadow.live_count();
-    }
+    kv.owners_final(&report.results);
 
     // Per-shard parity: counter cell, locked enumeration, and the routed
     // owner shadows must all agree; migration invariants must hold even if
     // a migration is still live at quiescence.
+    let mut expected_per_shard = vec![0u64; map.shard_count()];
+    for key in STABLE_KEYS {
+        expected_per_shard[map.shard_of(key)] += 1;
+    }
+    for (id, shadow) in report.results.iter().enumerate() {
+        for j in (0..SHARD_SLOTS).filter(|&j| shadow.present[j]) {
+            expected_per_shard[map.shard_of(kv.key(id, j))] += 1;
+        }
+    }
     for (si, &routed) in expected_per_shard.iter().enumerate() {
         let enumerated = map.shard_len_slow(si) as u64;
         let counted = map.shard_live_count(si);
         if enumerated != counted {
-            violations.record(format!(
-                "shard: shard {si} enumerates {enumerated} keys but its counter says {counted}"
+            kv.violation(format_args!(
+                "shard {si} enumerates {enumerated} keys but its counter says {counted}"
             ));
         }
         if enumerated != routed {
-            violations.record(format!(
-                "shard: shard {si} holds {enumerated} keys, owner shadows route {routed} there"
+            kv.violation(format_args!(
+                "shard {si} holds {enumerated} keys, owner shadows route {routed} there"
             ));
         }
         if !map.old_chains_empty_below_cursor(si) {
-            violations.record(format!(
-                "shard: shard {si} has a non-empty old-table chain below the migration cursor"
+            kv.violation(format_args!(
+                "shard {si} has a non-empty old-table chain below the migration cursor"
             ));
         }
     }
-    let len = map.len_slow() as u64;
-    if len != expected_len {
-        violations.record(format!(
-            "shard: len is {len}, owner shadows total {expected_len}"
-        ));
-    }
-    if !map.versions_even() {
-        violations.record("shard: a version word was left odd after quiescence".into());
-    }
+    let len = map.len_slow();
+    kv.len_final(len, &report.results);
+    kv.versions_final();
 
     let mut h = Fnv::new();
     for shadow in &report.results {
         shadow.fold(&mut h);
+        h.write_u64(shadow.inserted);
+        h.write_u64(shadow.removed);
     }
-    h.write_u64(len);
+    h.write_u64(len as u64);
     for &n in &expected_per_shard {
         h.write_u64(n);
     }

@@ -17,37 +17,50 @@ use proptest::prelude::*;
 /// Slot space used by the per-lane shadows (mirrors CHURN_PER_LANE).
 const SLOTS: usize = 4;
 
+/// Run `script` (kind, slot, value) against a `KvShadow<N>` and a HashMap.
+fn kv_shadow_agrees<const N: usize>(script: &[(u8, usize, u64)]) -> Result<(), TestCaseError> {
+    let mut shadow = KvShadow::<N>::new();
+    let mut reference: HashMap<usize, u64> = HashMap::new();
+    let (mut inserted, mut removed) = (0u64, 0u64);
+    for &(kind, slot, value) in script {
+        let slot = slot % N;
+        let (op, want) = match kind {
+            0 => {
+                let newly = reference.insert(slot, value).is_none();
+                inserted += newly as u64;
+                (KvOp::Insert { slot, value }, Some(newly as u64))
+            }
+            1 => {
+                let was = reference.remove(&slot).is_some();
+                removed += was as u64;
+                (KvOp::Remove { slot }, Some(was as u64))
+            }
+            _ => (KvOp::Get { slot }, reference.get(&slot).copied()),
+        };
+        let got = shadow.apply(&op);
+        prop_assert_eq!(got, want, "diverged on {:?}", op);
+    }
+    for slot in 0..N {
+        prop_assert_eq!(shadow.live(slot), reference.get(&slot).copied());
+    }
+    prop_assert_eq!((shadow.inserted, shadow.removed), (inserted, removed));
+    prop_assert_eq!(shadow.live_count(), reference.len() as u64);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// KvShadow agrees with a plain HashMap on presence transitions and
-    /// final contents.
+    /// KvShadow agrees with a plain HashMap on presence transitions,
+    /// lookups, final contents and its insert/remove ledger — at the four
+    /// slots of the hashmap/kyoto/durable lanes and the eight of the
+    /// shard lanes.
     #[test]
     fn kv_shadow_matches_hashmap(
-        script in proptest::collection::vec((0usize..SLOTS, any::<u64>(), any::<bool>()), 0..80),
+        script in proptest::collection::vec((0u8..3, 0usize..8, any::<u64>()), 0..80),
     ) {
-        let mut shadow = KvShadow::new();
-        let mut reference: HashMap<usize, u64> = HashMap::new();
-        for (slot, value, insert) in script {
-            let op = if insert {
-                KvOp::Insert { slot, value }
-            } else {
-                KvOp::Remove { slot }
-            };
-            let got = shadow.apply(&op);
-            let want = if insert {
-                reference.insert(slot, value).is_none()
-            } else {
-                reference.remove(&slot).is_some()
-            };
-            prop_assert_eq!(got, want, "presence transition diverged on {:?}", op);
-        }
-        for slot in 0..SLOTS {
-            prop_assert_eq!(shadow.present[slot], reference.contains_key(&slot));
-            if let Some(&val) = reference.get(&slot) {
-                prop_assert_eq!(shadow.value[slot], val);
-            }
-        }
+        kv_shadow_agrees::<SLOTS>(&script)?;
+        kv_shadow_agrees::<8>(&script)?;
     }
 
     /// TtlShadow agrees with a HashMap of (value, expiry) pairs: fills,

@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use ale_core::{Ale, AleConfig, StaticPolicy};
 use ale_htm::inject::{clear_crash, crashed, install_crash, CrashPlan, CrashPoint, TornMode};
-use ale_htm::InjectedCrash;
-use ale_kyoto::{recover, DbConfig, DurableCacheDb, KyotoDb, Wal, WalOp};
+use ale_htm::{InjectKind, InjectPlan, InjectPoint, InjectRule, InjectedCrash, InjectedPanic};
+use ale_kyoto::{recover, DbConfig, DurableCacheDb, KyotoDb, Wal, WalOp, WalRecord, RECORD_BYTES};
 use ale_vtime::{HtmProfile, Platform, Rng};
 
 /// The crash plan is process-global; tests that arm it must not overlap.
@@ -349,4 +349,52 @@ fn lock_poison_heals_and_preserves_acked_data() {
     db.set(7, 7777);
     assert_eq!(db.get(7), Some(7777));
     assert_eq!(db.count(), 20);
+}
+
+#[test]
+fn unwinding_commit_appends_a_compensation_record() {
+    let _guard = serial();
+    clear_crash();
+    ale_core::init_panic_hook();
+    let (_ale, db, wal) = db_with(13);
+
+    // One planned panic, raised as the first hardware transaction begins:
+    // `set`'s record is already in the log, its commit never happens.
+    ale_htm::inject::install(
+        InjectPlan::new(vec![InjectRule {
+            point: InjectPoint::Begin,
+            every: 1,
+            kind: InjectKind::Panic,
+        }])
+        .limited(1),
+    );
+    let payload = catch_unwind(AssertUnwindSafe(|| db.set(42, 4200)))
+        .expect_err("the injected panic must unwind out of set");
+    assert_eq!(ale_htm::inject::clear(), 1, "the plan fires exactly once");
+    assert!(payload.downcast_ref::<InjectedPanic>().is_some());
+
+    let log = wal.bytes();
+    let records: Vec<WalRecord> = log
+        .chunks_exact(RECORD_BYTES)
+        .map(|frame| WalRecord::decode(frame.try_into().unwrap()).unwrap())
+        .collect();
+    let ops: Vec<(WalOp, u64)> = records.iter().map(|r| (r.op, r.seq)).collect();
+    assert_eq!(ops, [(WalOp::Set, 1), (WalOp::Abort, 2)]);
+    assert_eq!(records[1].key, 1, "the compensation names the set's seq");
+
+    assert_eq!(db.get(42), None, "the unwound set must not be visible");
+    let (rdb, rep) = fresh_recover(14, &wal);
+    assert_eq!((rep.applied, rep.ignored), (0, 2));
+    assert_eq!(
+        rdb.get(42),
+        None,
+        "recovery must not replay the unwound set"
+    );
+
+    // The database stays usable: the next set commits and is durable.
+    assert!(db.set(42, 4201));
+    assert_eq!(db.get(42), Some(4201));
+    let (rdb, rep) = fresh_recover(15, &wal);
+    assert_eq!((rep.applied, rep.ignored), (1, 2));
+    assert_eq!(rdb.get(42), Some(4201));
 }
