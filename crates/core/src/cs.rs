@@ -18,7 +18,7 @@ use std::mem::ManuallyDrop;
 
 use ale_htm::{mutated, AbortCode, BreakerTransition, Mutation, StormBreaker};
 use ale_sync::Backoff;
-use ale_vtime::{now, Rng};
+use ale_vtime::now;
 
 use crate::check_hooks::{emit, CsEvent};
 use crate::frame::HeldKind;
@@ -27,7 +27,7 @@ use crate::meta::LockMeta;
 use crate::mode::ExecMode;
 use crate::policy::{ExecRecord, ModeCaps};
 use crate::scope::ScopeId;
-use crate::thread::{self, CsThread};
+use crate::thread::{self, CsThread, SectionRng};
 use crate::Ale;
 
 /// Explicit-abort code for "a nested critical section does not allow HTM"
@@ -197,10 +197,11 @@ pub(crate) trait LockOps {
 }
 
 /// Probabilistic SNZI respect (§4.2): defer with the configured
-/// probability; 1000‰ is the paper's always-defer behaviour.
-fn defer_now(ale: &Ale, rng: &mut Rng) -> bool {
+/// probability; 1000‰ is the paper's always-defer behaviour, which draws
+/// nothing.
+fn defer_now(ale: &Ale, rng: &mut SectionRng<'_>) -> bool {
     let p = ale.config().grouping_defer_permille;
-    p >= 1000 || rng.gen_ratio(p, 1000)
+    p >= 1000 || rng.get().gen_ratio(p, 1000)
 }
 
 /// Trace hook: one `ModeDecision` record per completed execution `rec`.
@@ -243,8 +244,8 @@ fn hold_satisfies(held: HeldKind, required: HeldKind) -> bool {
 }
 
 /// The whole `BEGIN_CS … END_CS` bracket: look the thread's block up (the
-/// one thread-local access this crate makes per critical section), enter
-/// the section's scope, run the driver.
+/// one thread-local access this crate makes per critical section) and run
+/// the driver.
 pub(crate) fn bracket<T, O: LockOps + ?Sized>(
     ale: &Ale,
     meta: &LockMeta,
@@ -253,15 +254,17 @@ pub(crate) fn bracket<T, O: LockOps + ?Sized>(
     opts: CsOptions,
     body: &mut dyn FnMut(&CsCtx<'_>) -> CsOutcome<T>,
 ) -> T {
-    thread::with(|t| t.enter_scope(scope, || run_cs(t, ale, meta, ops, opts, body)))
+    thread::with(|t| run_cs(t, ale, meta, scope, ops, opts, body))
 }
 
-/// Execute one ALE critical section on the thread whose block is `t`. The
-/// caller has already entered the scope (so `t.context()` includes it).
+/// Execute one ALE critical section in `scope` on the thread whose block is
+/// `t`. The scope is pushed only around a SWOpt or Lock body, whose nested
+/// sections need it; the granule's context is computed without a push.
 fn run_cs<T, O: LockOps + ?Sized>(
     t: &CsThread,
     ale: &Ale,
     meta: &LockMeta,
+    scope: &'static ScopeId,
     ops: &O,
     opts: CsOptions,
     body: &mut dyn FnMut(&CsCtx<'_>) -> CsOutcome<T>,
@@ -275,7 +278,7 @@ fn run_cs<T, O: LockOps + ?Sized>(
     }
 
     // --- Flattened nesting inside an HTM execution (§4.1) ---------------
-    if t.in_htm_execution() {
+    if ale_htm::in_txn() {
         if !opts.htm {
             ale_htm::explicit_abort(ABORT_NESTED_NO_HTM);
         }
@@ -302,10 +305,12 @@ fn run_cs<T, O: LockOps + ?Sized>(
         };
     }
 
-    let granule = meta
-        .granules
-        .lookup(t.context(), || ale.policy().make_granule_state());
-    let mut rng = t.fork_rng(ale.config().seed);
+    let granule = meta.granules.lookup(
+        t.context_in(scope),
+        || t.labels_in(scope),
+        || ale.policy().make_granule_state(),
+    );
+    let mut rng = t.section_rng(ale.config().seed);
 
     let held = t.held_kind(lock_key);
     let reentrant = held.is_some_and(|h| hold_satisfies(h, ops.required_hold()));
@@ -328,8 +333,8 @@ fn run_cs<T, O: LockOps + ?Sized>(
     // cover `caps` decides the whole execution with a single load+branch.
     // Misses (cold granule, phase transition, breaker edge, new
     // capability) take the slow path — run the policy, republish. Both
-    // policies' `plan` is tick- and RNG-free, so hit and miss schedule
-    // identically under the simulator.
+    // policies' `plan` is tick-free, so hit and miss schedule identically
+    // under the simulator.
     let plan = match granule.plan_cache.cached(caps) {
         Some(p) => p,
         None => {
@@ -337,7 +342,7 @@ fn run_cs<T, O: LockOps + ?Sized>(
                 .policy()
                 .plan_cacheable()
                 .then(|| granule.plan_cache.begin_publish());
-            let fresh = ale.policy().plan(meta, granule, caps, &mut rng);
+            let fresh = ale.policy().plan(meta, granule, caps);
             if let Some(e) = epoch {
                 granule.plan_cache.publish(fresh, caps, e);
             }
@@ -346,18 +351,22 @@ fn run_cs<T, O: LockOps + ?Sized>(
     };
     let use_grouping = plan.use_grouping && ale.grouping_enabled();
 
-    // Measure 100 % during learning, ~3 % otherwise.
-    let measure = plan.measure || rng.next_u32() & 31 == 0;
+    // Measure 100 % during learning, ~3 % otherwise. A measured section
+    // reads the clock twice on a first-attempt success: here, which is also
+    // the first attempt's start, and at the success, which is also the
+    // execution's end.
+    let measure = plan.measure || t.sample_due(&mut rng);
     let exec_start = measure.then(now);
 
     let mut rec = ExecRecord::new();
     // Flushes when dropped: below on completion, or by a panicking body's
     // unwind.
     let mut sink = StatSink::new(&granule.stats);
-    let value = run_protocol(
+    let (value, exec_end) = run_protocol(
         t,
         ale,
         meta,
+        scope,
         ops,
         opts,
         body,
@@ -366,7 +375,7 @@ fn run_cs<T, O: LockOps + ?Sized>(
         plan,
         use_grouping,
         reentrant,
-        measure,
+        exec_start,
         lock_key,
         &mut rec,
         &mut sink,
@@ -374,44 +383,50 @@ fn run_cs<T, O: LockOps + ?Sized>(
 
     sink.record_execution();
     drop(sink);
-    if let Some(start) = exec_start {
-        let total = now().saturating_sub(start);
+    if let (Some(start), Some(end)) = (exec_start, exec_end) {
+        let total = end.saturating_sub(start);
         granule.stats.exec_time.add_duration(total);
         rec.exec_ns = Some(total);
     }
-    ale.policy().on_complete(meta, granule, &rec, &mut rng);
+    ale.policy().on_complete(meta, granule, &rec);
     value
 }
 
+/// Run the attempts `plan` allows until one succeeds; returns the value
+/// and, when measured, the success time (the execution's end).
 #[allow(clippy::too_many_arguments)]
 fn run_protocol<T, O: LockOps + ?Sized>(
     t: &CsThread,
     ale: &Ale,
     meta: &LockMeta,
+    scope: &'static ScopeId,
     ops: &O,
     opts: CsOptions,
     body: &mut dyn FnMut(&CsCtx<'_>) -> CsOutcome<T>,
     granule: &Granule,
-    rng: &mut Rng,
+    rng: &mut SectionRng<'_>,
     plan: crate::policy::AttemptPlan,
     use_grouping: bool,
     reentrant: bool,
-    measure: bool,
+    exec_start: Option<u64>,
     lock_key: usize,
     rec: &mut ExecRecord,
     sink: &mut StatSink<'_>,
-) -> T {
+) -> (T, Option<u64>) {
     // The one attempt path, in three pieces every mode shares: `begin`
     // counts and reports the attempt, `guard` arms its unwind path, and
-    // `run_body` runs the body under a frame recording (lock, mode).
+    // `run_body` runs the body — a SWOpt or Lock body inside the section's
+    // scope and under a frame recording (lock, mode); an HTM body bare.
     let force_bump = ale.config().force_version_bump;
-    let begin = |sink: &mut StatSink<'_>, mode| {
+    let measure = exec_start.is_some();
+    let mut first_start = exec_start;
+    let mut begin = |sink: &mut StatSink<'_>, mode| {
         sink.record_attempt(mode);
         emit(CsEvent::Attempt {
             lock: meta.label(),
             mode,
         });
-        measure.then(now)
+        first_start.take().or_else(|| measure.then(now))
     };
     let guard = |mode, breaker, owns_lock| Unwind {
         t,
@@ -424,13 +439,16 @@ fn run_protocol<T, O: LockOps + ?Sized>(
         owns_lock,
     };
     let mut run_body = |mode| {
-        t.with_frame(lock_key, mode, || {
-            body(&CsCtx {
-                mode,
-                meta,
-                force_bump,
-            })
-        })
+        let ctx = CsCtx {
+            mode,
+            meta,
+            force_bump,
+        };
+        if mode == ExecMode::Htm {
+            body(&ctx)
+        } else {
+            t.with_frame(scope, lock_key, mode, || body(&ctx))
+        }
     };
     // SWOpt's registrations live out here so that a SWOpt success keeps
     // them until after the success tail; a fall-through to Lock mode drops
@@ -469,27 +487,26 @@ fn run_protocol<T, O: LockOps + ?Sized>(
 
                 rec.htm_attempts += 1;
                 let t0 = begin(sink, ExecMode::Htm);
+                let seed = &mut *rng;
                 let result = guard(ExecMode::Htm, breaker, false).run(|mode| {
-                    // The frame-recording push can reallocate its
-                    // thread-local Vec; in the emulated HTM that is
-                    // harmless, and on real hardware the stack is warmed
-                    // past nesting depth 2 within the first few sections, so
-                    // steady-state bodies never grow it. Accepted, not a
-                    // hygiene bug.
-                    ale_htm::attempt(profile, rng, || {
-                        // Self-test mutation (`LazySubscription`): skipping
-                        // the in-transaction lock subscription is the
-                        // classic unsafe-TLE bug (Dice et al.) — ale-check's
-                        // oracles must catch it.
-                        if !mutated(Mutation::LazySubscription)
-                            && !reentrant
-                            && ops.is_conflicting_locked()
-                        {
-                            // Subscribed and held: abort, possibly retry.
-                            ale_htm::explicit_abort(AbortCode::LOCK_HELD);
-                        }
-                        run_body(mode)
-                    })
+                    ale_htm::attempt_seeded(
+                        profile,
+                        || seed.get().next_u64(),
+                        || {
+                            // Self-test mutation (`LazySubscription`): skipping
+                            // the in-transaction lock subscription is the
+                            // classic unsafe-TLE bug (Dice et al.) — ale-check's
+                            // oracles must catch it.
+                            if !mutated(Mutation::LazySubscription)
+                                && !reentrant
+                                && ops.is_conflicting_locked()
+                            {
+                                // Subscribed and held: abort, possibly retry.
+                                ale_htm::explicit_abort(AbortCode::LOCK_HELD);
+                            }
+                            run_body(mode)
+                        },
+                    )
                 });
                 match result {
                     Ok(CsOutcome::Done(v)) => {
@@ -584,7 +601,7 @@ fn run_protocol<T, O: LockOps + ?Sized>(
                         if let Some(b) = breaker {
                             let storm = !lock_held
                                 && matches!(status.code, AbortCode::Conflict | AbortCode::Capacity);
-                            if b.record_abort(storm, rng) == BreakerTransition::Tripped {
+                            if b.record_abort(storm, rng.get()) == BreakerTransition::Tripped {
                                 granule.plan_cache.invalidate();
                                 emit(CsEvent::BreakerTrip { lock: meta.label() });
                             }
@@ -671,21 +688,23 @@ fn run_protocol<T, O: LockOps + ?Sized>(
 
     // ------------------------- the success tail -------------------------
     sink.record_success(mode);
-    if let Some(t0) = t0 {
-        granule.stats.success_time[mode.index()].add_duration(now().saturating_sub(t0));
-    }
+    let end = t0.map(|t0| {
+        let end = now();
+        granule.stats.success_time[mode.index()].add_duration(end.saturating_sub(t0));
+        end
+    });
     rec.mode = Some(mode);
     emit(CsEvent::Complete {
         lock: meta.label(),
         mode,
     });
     trace_mode_decision(meta, rec, reentrant);
-    if let Some(fs) = fallback_start {
-        rec.fallback_ns = Some(now().saturating_sub(fs));
+    if let (Some(fs), Some(end)) = (fallback_start, end) {
+        rec.fallback_ns = Some(end.saturating_sub(fs));
     }
     // A SWOpt success leaves its registrations here, after the tail.
     drop((retry_guard, swopt_active));
-    value
+    (value, end)
 }
 
 /// The exit path of a body that unwinds, in any mode: [`Unwind::run`] arms

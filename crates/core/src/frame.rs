@@ -2,12 +2,14 @@
 //!
 //! ALE-enabled critical sections must nest properly; the library keeps a
 //! per-thread stack of frames recording the lock and execution mode of each
-//! enclosing critical section *attempt*. The nesting rules implemented by
-//! the driver ([`crate::cs`]) all read this state:
+//! enclosing SWOpt or Lock *attempt*. The nesting rules implemented by the
+//! driver ([`crate::cs`]) read this state and the transaction flag:
 //!
-//! * inside an HTM-mode execution, nested critical sections run inside the
-//!   same hardware transaction (no frame is pushed — mirroring the paper's
-//!   optimisation of writing nothing extra inside transactions);
+//! * inside an HTM-mode execution (`ale_htm::in_txn()`), nested critical
+//!   sections run inside the same hardware transaction. The HTM attempt
+//!   pushes no frame and no scope, and its nested sections push none —
+//!   mirroring the paper's optimisation of writing nothing extra inside
+//!   transactions;
 //! * a nested critical section whose lock the thread already holds skips
 //!   the acquisition (Lock mode) or the lock check (HTM mode);
 //! * SWOpt is ineligible while the thread is in SWOpt mode for a critical
@@ -17,6 +19,7 @@
 //! module holds the methods that read and write them.
 
 use crate::mode::ExecMode;
+use crate::scope::ScopeId;
 use crate::thread::CsThread;
 
 /// How a held lock was acquired (readers-writer locks distinguish the two).
@@ -27,15 +30,6 @@ pub(crate) enum HeldKind {
 }
 
 impl CsThread {
-    /// Is the innermost active execution on this thread in HTM mode?
-    /// (If so, every nested critical section is flattened into it.)
-    pub(crate) fn in_htm_execution(&self) -> bool {
-        self.frames
-            .borrow()
-            .last()
-            .is_some_and(|&(_, m)| m == ExecMode::Htm)
-    }
-
     /// Is this thread executing in SWOpt mode for a critical section
     /// protected by a lock other than `lock_key`?
     pub(crate) fn in_swopt_for_other_lock(&self, lock_key: usize) -> bool {
@@ -51,27 +45,32 @@ impl CsThread {
         self.frames.borrow().len()
     }
 
-    /// Run one execution attempt under a frame recording (lock, mode).
-    /// The frame pops even if `f` unwinds (HTM aborts unwind through here).
+    /// Run one SWOpt or Lock attempt inside its section's `scope` and
+    /// under a frame recording (lock, mode), so that the sections it nests
+    /// find their granules and the nesting rules. Both pop even if `f`
+    /// unwinds.
     pub(crate) fn with_frame<R>(
         &self,
+        scope: &'static ScopeId,
         lock_key: usize,
         mode: ExecMode,
         f: impl FnOnce() -> R,
     ) -> R {
-        self.frames.borrow_mut().push((lock_key, mode));
-        struct PopGuard<'a>(&'a CsThread);
-        impl Drop for PopGuard<'_> {
-            fn drop(&mut self) {
-                self.0
-                    .frames
-                    .borrow_mut()
-                    .pop()
-                    .expect("frame stack underflow");
+        self.enter_scope(scope, || {
+            self.frames.borrow_mut().push((lock_key, mode));
+            struct PopGuard<'a>(&'a CsThread);
+            impl Drop for PopGuard<'_> {
+                fn drop(&mut self) {
+                    self.0
+                        .frames
+                        .borrow_mut()
+                        .pop()
+                        .expect("frame stack underflow");
+                }
             }
-        }
-        let _guard = PopGuard(self);
-        f()
+            let _guard = PopGuard(self);
+            f()
+        })
     }
 
     /// Does this thread hold `lock_key` (acquired in Lock mode)?
@@ -115,34 +114,35 @@ impl CsThread {
 mod tests {
     use super::*;
 
-    use crate::thread;
+    use crate::{scope, thread};
 
     #[test]
-    fn frames_nest_and_answer_queries() {
+    fn frames_nest_and_carry_their_scope() {
+        let root = crate::current_context();
         thread::with(|t| {
-            assert!(!t.in_htm_execution());
             assert_eq!(t.depth(), 0);
-            t.with_frame(1, ExecMode::Lock, || {
+            t.with_frame(scope!("outer"), 1, ExecMode::Lock, || {
                 assert_eq!(t.depth(), 1);
-                assert!(!t.in_htm_execution());
+                assert_ne!(crate::current_context(), root);
                 // A nested section reaches the same block through its own
                 // lookup and must find no borrow live.
                 thread::with(|inner| {
-                    inner.with_frame(2, ExecMode::Htm, || {
-                        assert!(t.in_htm_execution());
+                    inner.with_frame(scope!("inner"), 2, ExecMode::SwOpt, || {
                         assert_eq!(inner.depth(), 2);
+                        assert_eq!(crate::scope::current_context_labels(), ["outer", "inner"]);
                     })
                 });
-                assert!(!t.in_htm_execution());
+                assert_eq!(t.depth(), 1);
             });
             assert_eq!(t.depth(), 0);
         });
+        assert_eq!(crate::current_context(), root);
     }
 
     #[test]
     fn swopt_conflict_detection_is_per_lock() {
         thread::with(|t| {
-            t.with_frame(1, ExecMode::SwOpt, || {
+            t.with_frame(scope!("sw"), 1, ExecMode::SwOpt, || {
                 assert!(!t.in_swopt_for_other_lock(1), "same lock is allowed");
                 assert!(t.in_swopt_for_other_lock(2), "different lock is not");
             });
@@ -167,13 +167,11 @@ mod tests {
     #[test]
     fn frame_pops_on_unwind() {
         let r = std::panic::catch_unwind(|| {
-            thread::with(|t| t.with_frame(3, ExecMode::Htm, || panic!("abort-like unwind")));
+            thread::with(|t| t.with_frame(scope!("boom"), 3, ExecMode::Lock, || panic!("unwind")));
         });
         assert!(r.is_err());
-        thread::with(|t| {
-            assert_eq!(t.depth(), 0);
-            assert!(!t.in_htm_execution());
-        });
+        thread::with(|t| assert_eq!(t.depth(), 0));
+        assert_eq!(crate::current_context(), crate::ContextId::ROOT);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ale_vtime::{tick, Event};
 
 use crate::mode::ExecMode;
 use crate::policy::{AttemptPlan, ModeCaps};
-use crate::scope::{current_context_labels, ContextId};
+use crate::scope::ContextId;
 
 /// Maximum distinct contexts per lock. Contexts are static program
 /// structure (scope stacks), so a small fixed budget is plenty; overflow
@@ -371,14 +371,16 @@ impl GranuleTable {
         }
     }
 
-    /// Find the granule for `context`, creating it on first sight (with
-    /// policy state from `make_state`). The reference borrows from the
+    /// Find the granule for `context`, creating it on first sight (named by
+    /// the scope labels from `labels`, with policy state from
+    /// `make_state`). The reference borrows from the
     /// table: no reference count moves, so the elided path writes no word
     /// that other threads using the lock share. Callers that need to own
     /// a granule take it from [`GranuleTable::all`].
     pub fn lookup(
         &self,
         context: ContextId,
+        labels: impl FnOnce() -> Vec<&'static str>,
         make_state: impl FnOnce() -> Box<dyn Any + Send + Sync>,
     ) -> &Granule {
         tick(Event::SharedLoad);
@@ -395,12 +397,13 @@ impl GranuleTable {
                 return g;
             }
         }
-        self.insert(context, make_state)
+        self.insert(context, labels, make_state)
     }
 
     fn insert(
         &self,
         context: ContextId,
+        labels: impl FnOnce() -> Vec<&'static str>,
         make_state: impl FnOnce() -> Box<dyn Any + Send + Sync>,
     ) -> &Granule {
         let mut owned = self.owned.lock();
@@ -422,7 +425,7 @@ impl GranuleTable {
         }
         let granule = Arc::new(Granule {
             context,
-            labels: current_context_labels(),
+            labels: labels(),
             stats: CachePadded::new(GranuleStats::default()),
             plan_cache: CachePadded::new(PlanCache::default()),
             policy_state: make_state(),
@@ -488,11 +491,11 @@ mod tests {
     #[test]
     fn lookup_creates_once_and_finds_after() {
         let t = GranuleTable::new();
-        let a = t.lookup(ContextId(1), no_state);
-        let b = t.lookup(ContextId(1), no_state);
+        let a = t.lookup(ContextId(1), Vec::new, no_state);
+        let b = t.lookup(ContextId(1), Vec::new, no_state);
         assert!(std::ptr::eq(a, b));
         assert_eq!(t.len(), 1);
-        let c = t.lookup(ContextId(2), no_state);
+        let c = t.lookup(ContextId(2), Vec::new, no_state);
         assert!(!std::ptr::eq(a, c));
         assert_eq!(t.len(), 2);
         assert_eq!(t.all().len(), 2);
@@ -502,14 +505,14 @@ mod tests {
     fn overflow_merges_into_last_granule() {
         let t = GranuleTable::new();
         for i in 0..MAX_GRANULES_PER_LOCK as u64 {
-            t.lookup(ContextId(i), no_state);
+            t.lookup(ContextId(i), Vec::new, no_state);
         }
         assert_eq!(t.len(), MAX_GRANULES_PER_LOCK);
         // An overflowed context takes this path on every lookup, so it
         // must not build (and throw away) a granule each time.
         let mut built = 0;
         for _ in 0..3 {
-            let extra = t.lookup(ContextId(10_000), || {
+            let extra = t.lookup(ContextId(10_000), Vec::new, || {
                 built += 1;
                 no_state()
             });
@@ -527,7 +530,7 @@ mod tests {
                 let t = &t;
                 s.spawn(move || {
                     for i in 0..100u64 {
-                        let g = t.lookup(ContextId(i % 10), no_state);
+                        let g = t.lookup(ContextId(i % 10), Vec::new, no_state);
                         assert_eq!(g.context, ContextId(i % 10));
                     }
                 });
@@ -682,7 +685,7 @@ mod tests {
         };
         let mut granules = Vec::new();
         for i in 0..5u64 {
-            let g = t.lookup(ContextId(i), no_state);
+            let g = t.lookup(ContextId(i), Vec::new, no_state);
             let e = g.plan_cache.begin_publish();
             g.plan_cache.publish(AttemptPlan::lock_only(), caps, e);
             assert!(g.plan_cache.cached(caps).is_some());
@@ -697,7 +700,7 @@ mod tests {
     #[test]
     fn granule_describe_uses_labels() {
         let t = GranuleTable::new();
-        let g = t.lookup(ContextId(9), no_state);
+        let g = t.lookup(ContextId(9), Vec::new, no_state);
         assert_eq!(g.describe(), "<root>", "no scopes entered in this test");
     }
 }

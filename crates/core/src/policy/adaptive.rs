@@ -34,7 +34,6 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use ale_sync::TickMutex;
-use ale_vtime::Rng;
 
 use crate::granule::Granule;
 use crate::meta::LockMeta;
@@ -633,13 +632,7 @@ impl Policy for AdaptivePolicy {
         Box::new(AdaptiveGranule::new(self.cfg.initial_x))
     }
 
-    fn plan(
-        &self,
-        meta: &LockMeta,
-        granule: &Granule,
-        caps: ModeCaps,
-        _rng: &mut Rng,
-    ) -> AttemptPlan {
+    fn plan(&self, meta: &LockMeta, granule: &Granule, caps: ModeCaps) -> AttemptPlan {
         let state = self.lock_state(meta);
         // Capability discovery (used when the LockOnly phase ends).
         if caps.htm {
@@ -671,7 +664,7 @@ impl Policy for AdaptivePolicy {
         }
     }
 
-    fn on_complete(&self, meta: &LockMeta, granule: &Granule, rec: &ExecRecord, _rng: &mut Rng) {
+    fn on_complete(&self, meta: &LockMeta, granule: &Granule, rec: &ExecRecord) {
         if rec.breaker_tripped {
             // The circuit breaker forced this execution to skip HTM; its
             // timings say nothing about the modes under comparison and

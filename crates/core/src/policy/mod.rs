@@ -11,8 +11,6 @@
 
 use std::any::Any;
 
-use ale_vtime::Rng;
-
 use crate::granule::Granule;
 use crate::meta::LockMeta;
 use crate::mode::ExecMode;
@@ -138,16 +136,10 @@ pub trait Policy: Send + Sync + 'static {
     fn make_granule_state(&self) -> Box<dyn Any + Send + Sync>;
 
     /// Decide the attempt budgets for the next execution.
-    fn plan(
-        &self,
-        meta: &LockMeta,
-        granule: &Granule,
-        caps: ModeCaps,
-        rng: &mut Rng,
-    ) -> AttemptPlan;
+    fn plan(&self, meta: &LockMeta, granule: &Granule, caps: ModeCaps) -> AttemptPlan;
 
     /// Observe a completed execution.
-    fn on_complete(&self, meta: &LockMeta, granule: &Granule, rec: &ExecRecord, rng: &mut Rng);
+    fn on_complete(&self, meta: &LockMeta, granule: &Granule, rec: &ExecRecord);
 
     /// May the driver cache [`plan`](Policy::plan)'s result in the
     /// granule's packed plan word and skip `plan` on the fast path?
@@ -155,8 +147,8 @@ pub trait Policy: Send + Sync + 'static {
     /// A policy may opt in only if all three hold:
     ///
     /// 1. `plan` is deterministic in (policy state, granule, caps) — no
-    ///    RNG draws and no `tick`s, so a skipped call is invisible to the
-    ///    virtual-time schedule;
+    ///    `tick`s, so a skipped call is invisible to the virtual-time
+    ///    schedule;
     /// 2. for capability sets `B ⊆ A`:
     ///    `plan(A).clamped(B) == plan(B).clamped(B)` (the cached word
     ///    stores the unclamped plan and clamps per execution);

@@ -12,8 +12,6 @@
 
 use std::any::Any;
 
-use ale_vtime::Rng;
-
 use crate::granule::Granule;
 use crate::meta::LockMeta;
 use crate::policy::{AttemptPlan, ExecRecord, ModeCaps, Policy};
@@ -66,13 +64,7 @@ impl Policy for StaticPolicy {
         Box::new(())
     }
 
-    fn plan(
-        &self,
-        _meta: &LockMeta,
-        _granule: &Granule,
-        caps: ModeCaps,
-        _rng: &mut Rng,
-    ) -> AttemptPlan {
+    fn plan(&self, _meta: &LockMeta, _granule: &Granule, caps: ModeCaps) -> AttemptPlan {
         AttemptPlan {
             htm_attempts: if caps.htm { self.x } else { 0 },
             swopt_attempts: if caps.swopt { self.y } else { 0 },
@@ -81,8 +73,7 @@ impl Policy for StaticPolicy {
         }
     }
 
-    fn on_complete(&self, _meta: &LockMeta, _granule: &Granule, _rec: &ExecRecord, _rng: &mut Rng) {
-    }
+    fn on_complete(&self, _meta: &LockMeta, _granule: &Granule, _rec: &ExecRecord) {}
 
     /// `plan` is a pure function of `(self, caps)` — no RNG, no ticks, no
     /// mutable state — and its caps-dependence is exactly `clamped`, so
@@ -106,7 +97,7 @@ mod tests {
 
     fn granule(meta: &LockMeta) -> &Granule {
         meta.granules
-            .lookup(crate::scope::current_context(), || Box::new(()))
+            .lookup(crate::scope::current_context(), Vec::new, || Box::new(()))
     }
 
     #[test]
@@ -114,7 +105,6 @@ mod tests {
         let p = StaticPolicy::new(10, 7);
         let m = meta();
         let g = granule(&m);
-        let mut rng = Rng::new(1);
         let full = p.plan(
             &m,
             g,
@@ -122,7 +112,6 @@ mod tests {
                 htm: true,
                 swopt: true,
             },
-            &mut rng,
         );
         assert_eq!((full.htm_attempts, full.swopt_attempts), (10, 7));
         assert!(!full.measure);
@@ -133,7 +122,6 @@ mod tests {
                 htm: false,
                 swopt: false,
             },
-            &mut rng,
         );
         assert_eq!((none.htm_attempts, none.swopt_attempts), (0, 0));
     }
@@ -151,7 +139,6 @@ mod tests {
                     htm: true,
                     swopt: true
                 },
-                &mut Rng::new(1)
             )
             .use_grouping
         );
@@ -165,7 +152,6 @@ mod tests {
                         htm: true,
                         swopt: true
                     },
-                    &mut Rng::new(1)
                 )
                 .use_grouping
         );

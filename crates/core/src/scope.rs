@@ -31,7 +31,7 @@ impl ScopeId {
     }
 
     #[inline]
-    fn key(&'static self) -> usize {
+    pub(crate) fn key(&'static self) -> usize {
         self as *const ScopeId as usize
     }
 }
@@ -77,13 +77,20 @@ impl ContextStack {
             .unwrap_or(ContextId::ROOT.0)
     }
 
-    fn push(&mut self, key: usize, label: &'static str) {
-        // Fold the scope key into the hash of the stack below it with one
-        // multiply-xorshift round. Keys are addresses of statics, so the
-        // values differ from run to run anyway; only "equal stacks hash
-        // equal, different stacks almost surely differ" matters.
+    /// The hash of this stack with `key` pushed on top. Folds the scope
+    /// key into the hash of the stack below it with one multiply-xorshift
+    /// round. Keys are addresses of statics, so the values differ from run
+    /// to run anyway; only "equal stacks hash equal, different stacks
+    /// almost surely differ" matters.
+    #[inline]
+    fn child_hash(&self, key: usize) -> u64 {
         let h = (self.top_hash() ^ key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.entries.push((key, label, h ^ (h >> 32)));
+        h ^ (h >> 32)
+    }
+
+    fn push(&mut self, key: usize, label: &'static str) {
+        let h = self.child_hash(key);
+        self.entries.push((key, label, h));
     }
 
     fn pop(&mut self, key: usize) {
@@ -103,8 +110,23 @@ impl CsThread {
         ContextId(self.scopes.borrow().top_hash())
     }
 
-    /// Push `scope`, run `f`, pop. This is the engine under both explicit
-    /// `with_scope` and the implicit scope of every critical section.
+    /// The context a section in `scope` runs in: this thread's context with
+    /// `scope` on top, computed without pushing it.
+    #[inline]
+    pub(crate) fn context_in(&self, scope: &'static ScopeId) -> ContextId {
+        ContextId(self.scopes.borrow().child_hash(scope.key()))
+    }
+
+    /// The labels of [`CsThread::context_in`], outermost first.
+    pub(crate) fn labels_in(&self, scope: &'static ScopeId) -> Vec<&'static str> {
+        let stack = self.scopes.borrow();
+        let below = stack.entries.iter().map(|e| e.1);
+        below.chain([scope.label()]).collect()
+    }
+
+    /// Push `scope`, run `f`, pop: the engine under explicit `with_scope`.
+    /// A critical section's own scope is pushed only around a SWOpt or
+    /// Lock body ([`CsThread::with_frame`]).
     pub(crate) fn enter_scope<R>(&self, scope: &'static ScopeId, f: impl FnOnce() -> R) -> R {
         let key = scope.key();
         self.scopes.borrow_mut().push(key, scope.label());

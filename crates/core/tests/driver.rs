@@ -312,6 +312,57 @@ fn distinct_scopes_get_distinct_granules() {
     );
 }
 
+/// The labels of every granule registered under the lock called `label`.
+fn granule_names(ale: &Ale, label: &str) -> Vec<String> {
+    let meta = ale.lock_metas().into_iter().find(|m| m.label() == label);
+    let granules = meta.expect("lock is registered").granules.all();
+    granules.iter().map(|g| g.describe()).collect()
+}
+
+#[test]
+fn a_section_nested_in_lock_mode_is_named_by_both_scopes() {
+    // A Lock-mode body pushes its section's scope, so the inner section's
+    // granule (computed without a push of its own) carries both labels.
+    let ale = ale_with(Platform::testbed(), StaticPolicy::new(0, 0));
+    let outer = ale.new_lock("outer", SpinLock::new());
+    let inner = ale.new_lock("inner", SpinLock::new());
+    let modes = outer.cs_plain(scope!("outer"), CsOptions::new(), |cs| {
+        (
+            cs.mode(),
+            inner.cs_plain(scope!("inner"), CsOptions::new(), |ics| ics.mode()),
+        )
+    });
+    assert_eq!(modes, (ExecMode::Lock, ExecMode::Lock));
+    assert_eq!(granule_names(&ale, "inner"), ["outer / inner"]);
+    assert_eq!(granule_names(&ale, "outer"), ["outer"]);
+}
+
+#[test]
+fn a_section_nested_in_an_htm_commit_creates_no_granule() {
+    let ale = ale_with(Platform::testbed(), StaticPolicy::new(3, 0));
+    let outer = ale.new_lock("outer", SpinLock::new());
+    let inner = ale.new_lock("inner", SpinLock::new());
+    for _ in 0..10 {
+        let mode = outer.cs_plain(scope!("outer"), CsOptions::new(), |cs| {
+            inner.cs_plain(scope!("inner"), CsOptions::new(), |_| ());
+            cs.mode()
+        });
+        assert_eq!(mode, ExecMode::Htm);
+    }
+    assert_eq!(granule_names(&ale, "inner"), Vec::<String>::new());
+    assert_eq!(granule_names(&ale, "outer"), ["outer"]);
+}
+
+#[test]
+fn a_lock_mode_body_runs_inside_its_own_scope() {
+    let ale = ale_with(Platform::testbed(), StaticPolicy::new(0, 0));
+    let lock = ale.new_lock("ctx", SpinLock::new());
+    let own = scope!("own");
+    let inside = lock.cs_plain(own, CsOptions::new(), |_| ale_core::current_context());
+    assert_eq!(inside, ale_core::with_scope(own, ale_core::current_context));
+    assert_ne!(inside, ale_core::current_context());
+}
+
 #[test]
 fn lock_held_aborts_are_classified() {
     // One lane camps on the lock in Lock mode while another tries HTM;

@@ -4,50 +4,157 @@
 //! data conflicts — capacity overflow, TLB misses, interrupts, unfriendly
 //! instructions. The ALE policies' whole job is coping with this, so the
 //! emulation reproduces it faithfully and *deterministically*: capacity
-//! limits are exact set-size checks and "spurious" events are drawn from a
-//! seeded per-transaction random stream, so a simulation replays
-//! identically.
+//! limits are exact set-size checks and "spurious" events come from a
+//! seeded per-thread clock, so a simulation replays identically.
+//!
+//! The clock keeps, per event kind (transaction begin, transactional
+//! access), the number of trials left before the next spurious event. The
+//! gaps are geometric at the profile's rate, so the events form the same
+//! Bernoulli process as one draw per trial, at one draw per *event*: a
+//! zero-rate profile never draws, and a committed transaction on a
+//! low-rate profile almost never does.
 
 use ale_vtime::{HtmProfile, Rng};
 
-/// Per-transaction failure state: the platform's HTM profile plus a
-/// deterministic random stream for spurious events.
+/// Stream constant mixed into the seed of a rebuilt clock.
+const CLOCK_STREAM: u64 = 0x7854_6E67;
+
+/// Trials left before one kind of spurious event fires.
+#[derive(Debug, Clone, Copy)]
+struct Gap {
+    /// `ln(1 - p)`; 0 for a zero rate (the event never fires).
+    ln_q: f64,
+    /// Trials that pass before the one that fires.
+    left: u64,
+}
+
+impl Gap {
+    const NEVER: Gap = Gap {
+        ln_q: 0.0,
+        left: u64::MAX,
+    };
+
+    /// A fresh gap at rate `p`: draws only when `p > 0`.
+    fn new(p: f64, rng: &mut Rng) -> Gap {
+        if p <= 0.0 {
+            return Gap::NEVER;
+        }
+        let mut g = Gap {
+            ln_q: (-p.min(1.0)).ln_1p(),
+            left: 0,
+        };
+        g.redraw(rng);
+        g
+    }
+
+    /// Geometric number of failures before the next success:
+    /// `P(left = k) = (1 - p)^k · p` (inversion of one uniform draw).
+    fn redraw(&mut self, rng: &mut Rng) {
+        let u = 1.0 - rng.gen_f64(); // (0, 1]
+        self.left = (u.ln() / self.ln_q) as u64;
+    }
+
+    /// One trial: does it fire? Draws only when it does.
+    #[inline]
+    fn fires(&mut self, rng: &mut Rng) -> bool {
+        match self.left.checked_sub(1) {
+            Some(left) => {
+                self.left = left;
+                false
+            }
+            None => {
+                self.redraw(rng);
+                true
+            }
+        }
+    }
+}
+
+/// One thread's failure state: the HTM profile in force plus the
+/// spurious-event clock built for it.
 #[derive(Debug)]
 pub struct FailureModel {
-    profile: HtmProfile,
+    /// The profile the clock was built for; `None` before the first use.
+    profile: Option<HtmProfile>,
+    /// The clock's own stream, seeded when a clock with a nonzero rate is
+    /// built and drawn from once per spurious event.
     rng: Rng,
+    txn: Gap,
+    access: Gap,
+}
+
+impl Default for FailureModel {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FailureModel {
-    pub fn new(profile: HtmProfile, rng: Rng) -> Self {
-        FailureModel { profile, rng }
+    /// A model with no profile yet: the first [`use_profile`] builds it.
+    ///
+    /// [`use_profile`]: FailureModel::use_profile
+    pub const fn new() -> Self {
+        FailureModel {
+            profile: None,
+            rng: Rng::from_state([CLOCK_STREAM, 1, 2, 3]),
+            txn: Gap::NEVER,
+            access: Gap::NEVER,
+        }
+    }
+
+    /// Put `profile` in force, rebuilding the clock if it differs from the
+    /// one in force. `seed` is called only by a rebuild for a profile with
+    /// a nonzero spurious rate; a zero-rate profile never calls it.
+    #[inline]
+    pub fn use_profile(&mut self, profile: &HtmProfile, seed: impl FnOnce() -> u64) {
+        if self.profile.as_ref() != Some(profile) {
+            self.rebuild(profile, seed);
+        }
+    }
+
+    #[cold]
+    fn rebuild(&mut self, profile: &HtmProfile, seed: impl FnOnce() -> u64) {
+        let (pt, pa) = (
+            profile.spurious_abort_per_txn,
+            profile.spurious_abort_per_access,
+        );
+        if pt > 0.0 || pa > 0.0 {
+            self.rng = Rng::new(seed() ^ CLOCK_STREAM);
+        }
+        self.txn = Gap::new(pt, &mut self.rng);
+        self.access = Gap::new(pa, &mut self.rng);
+        self.profile = Some(*profile);
+    }
+
+    fn profile(&self) -> &HtmProfile {
+        self.profile.as_ref().expect("no HTM profile in force")
     }
 
     /// Should this transaction abort spuriously right at begin?
+    #[inline]
     pub fn txn_spurious(&mut self) -> bool {
-        self.profile.spurious_abort_per_txn > 0.0
-            && self.rng.gen_bool(self.profile.spurious_abort_per_txn)
+        self.txn.fires(&mut self.rng)
     }
 
     /// Should this transactional access abort spuriously?
+    #[inline]
     pub fn access_spurious(&mut self) -> bool {
-        self.profile.spurious_abort_per_access > 0.0
-            && self.rng.gen_bool(self.profile.spurious_abort_per_access)
+        self.access.fires(&mut self.rng)
     }
 
     /// Does a spurious abort on this platform hint that a retry may help?
     pub fn spurious_retry_hint(&self) -> bool {
-        self.profile.spurious_retry_hint
+        self.profile().spurious_retry_hint
     }
 
     /// Has the read set outgrown the platform?
     pub fn read_capacity_exceeded(&self, distinct_reads: usize) -> bool {
-        distinct_reads > self.profile.max_read_set
+        distinct_reads > self.profile().max_read_set
     }
 
     /// Has the write set outgrown the platform?
     pub fn write_capacity_exceeded(&self, distinct_writes: usize) -> bool {
-        distinct_writes > self.profile.max_write_set
+        distinct_writes > self.profile().max_write_set
     }
 }
 
@@ -57,7 +164,9 @@ mod tests {
     use ale_vtime::Platform;
 
     fn model(p: fn() -> Platform) -> FailureModel {
-        FailureModel::new(p().htm.expect("platform has HTM"), Rng::new(7))
+        let mut m = FailureModel::new();
+        m.use_profile(&p().htm.expect("platform has HTM"), || 7);
+        m
     }
 
     #[test]
@@ -81,6 +190,24 @@ mod tests {
             rock_fails > haswell_fails * 2,
             "rock {rock_fails} vs haswell {haswell_fails}"
         );
+    }
+
+    #[test]
+    fn gaps_keep_the_bernoulli_rate() {
+        let mut m = model(Platform::rock);
+        let n = 1_000_000;
+        let fails = (0..n).filter(|_| m.txn_spurious()).count() as f64;
+        let rate = fails / n as f64;
+        assert!((0.019..0.021).contains(&rate), "per-txn rate {rate}");
+    }
+
+    #[test]
+    fn a_rate_of_one_always_fires() {
+        let mut p = Platform::rock().htm.unwrap();
+        p.spurious_abort_per_access = 1.0;
+        let mut m = FailureModel::new();
+        m.use_profile(&p, || 1);
+        assert!((0..100).all(|_| m.access_spurious()));
     }
 
     #[test]

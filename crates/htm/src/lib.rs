@@ -68,4 +68,6 @@ pub use inject::{
     InjectedPanic, Mutation, TornMode,
 };
 pub use storm::{htm_supported, BreakerConfig, BreakerState, BreakerTransition, StormBreaker};
-pub use txn::{attempt, explicit_abort, in_txn, init_panic_hook, read_set_len, write_set_len};
+pub use txn::{
+    attempt, attempt_seeded, explicit_abort, in_txn, init_panic_hook, read_set_len, write_set_len,
+};

@@ -5,7 +5,8 @@
 //! One [`attempt`] is one hardware transaction:
 //!
 //! 1. **Begin** — snapshot the global version clock (`rv`); maybe abort
-//!    spuriously (per-transaction probability).
+//!    spuriously (the thread's spurious-event clock, see
+//!    [`besteffort`](crate::besteffort)).
 //! 2. **Body** — [`HtmCell::get`](crate::HtmCell::get) records the meta
 //!    word of each cell it reads. A version at or below `rv` was published
 //!    before the snapshot; one above it (plain stores run ahead of the
@@ -61,20 +62,28 @@ struct WriteEntry {
 
 /// The calling thread's transaction, armed in place by every [`attempt`]:
 /// the set buffers keep their capacity from one attempt to the next, so a
-/// steady-state attempt neither allocates nor moves the state.
+/// steady-state attempt neither allocates nor moves the state. The failure
+/// model outlives the attempts too: its spurious-event clock runs across
+/// all of this thread's transactions.
 struct TxState {
     rv: u64,
     reads: Vec<ReadEntry>,
     writes: Vec<WriteEntry>,
-    /// `Some` from arm to disarm.
-    fm: Option<FailureModel>,
+    fm: FailureModel,
 }
 
 impl TxState {
-    fn arm(&mut self, rv: u64, fm: FailureModel) {
+    /// Begin under `profile`: a spurious abort at begin, or the snapshot.
+    fn arm(&mut self, profile: &HtmProfile, seed: impl FnOnce() -> u64) -> Result<(), AbortStatus> {
         debug_assert!(self.reads.is_empty() && self.writes.is_empty());
-        self.rv = rv;
-        self.fm = Some(fm);
+        self.fm.use_profile(profile, seed);
+        if self.fm.txn_spurious() {
+            return Err(AbortStatus::spurious(self.fm.spurious_retry_hint()));
+        }
+        // SeqCst: the reader half of I2 (`cell` module docs) — every meta
+        // word this transaction loads is loaded after this snapshot.
+        self.rv = GLOBAL_VCLOCK.load(Ordering::SeqCst);
+        Ok(())
     }
 
     /// Back to the idle state every attempt starts from, whichever way the
@@ -82,7 +91,6 @@ impl TxState {
     fn disarm(&mut self) {
         self.reads.clear();
         self.writes.clear();
-        self.fm = None;
     }
 }
 
@@ -96,7 +104,7 @@ thread_local! {
             rv: 0,
             reads: Vec::new(),
             writes: Vec::new(),
-            fm: None,
+            fm: FailureModel::new(),
         })
     };
 }
@@ -176,11 +184,24 @@ pub fn explicit_abort(code: u8) -> ! {
 /// On abort no effect of `body` is visible (writes were buffered). The
 /// caller decides whether and how to retry — that is the ALE policy's job.
 ///
-/// `rng` drives the deterministic spurious-failure stream. If a
+/// `rng` seeds the thread's spurious-event clock when `profile` differs
+/// from the one it was built for; otherwise it is left untouched. If a
 /// transaction is already active the call is flattened into it.
 pub fn attempt<R>(
     profile: &HtmProfile,
     rng: &mut Rng,
+    body: impl FnOnce() -> R,
+) -> Result<R, AbortStatus> {
+    attempt_seeded(profile, || rng.next_u64(), body)
+}
+
+/// [`attempt`] with the clock's seed drawn on demand: `seed` runs only when
+/// the thread's spurious-event clock is rebuilt for a profile with a
+/// nonzero spurious rate, so a caller that owns no random stream until it
+/// needs one forks nothing for a transaction that commits.
+pub fn attempt_seeded<R>(
+    profile: &HtmProfile,
+    seed: impl FnOnce() -> u64,
     body: impl FnOnce() -> R,
 ) -> Result<R, AbortStatus> {
     if in_txn() {
@@ -205,13 +226,11 @@ pub fn attempt<R>(
         None => {}
     }
 
-    let mut fm = FailureModel::new(*profile, rng.fork(0x7854_6E67));
-    if fm.txn_spurious() {
-        tick(Event::HtmAbort);
-        return Err(AbortStatus::spurious(fm.spurious_retry_hint()));
-    }
-
     TX.with(|slot| {
+        if let Err(status) = slot.borrow_mut().arm(profile, seed) {
+            tick(Event::HtmAbort);
+            return Err(status);
+        }
         // No borrow of `slot` is held while the body runs or when an unwind
         // leaves `attempt`, and the guard disarms on every way out — commit,
         // abort, planned panic, user panic — so the next attempt on this
@@ -222,10 +241,6 @@ pub fn attempt<R>(
                 self.0.borrow_mut().disarm();
             }
         }
-        // SeqCst: the reader half of I2 (`cell` module docs) — every meta
-        // word this transaction loads is loaded after this snapshot.
-        slot.borrow_mut()
-            .arm(GLOBAL_VCLOCK.load(Ordering::SeqCst), fm);
         let _disarm = Disarm(slot);
         IN_TXN.with(|f| f.set(true));
         let outcome = catch_unwind(AssertUnwindSafe(body));
@@ -277,7 +292,7 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
     TX.with(|slot| {
         let mut borrow = slot.borrow_mut();
         let tx = &mut *borrow;
-        let fm = tx.fm.as_mut().expect("no transaction is running");
+        let fm = &mut tx.fm;
 
         // Read-after-write: return the buffered value.
         let vp = cell.value_ptr() as *mut u8;
@@ -363,7 +378,7 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
     TX.with(|slot| {
         let mut borrow = slot.borrow_mut();
         let tx = &mut *borrow;
-        let fm = tx.fm.as_mut().expect("no transaction is running");
+        let fm = &mut tx.fm;
 
         if fm.access_spurious() {
             let hint = fm.spurious_retry_hint();
@@ -694,6 +709,63 @@ mod tests {
         // rock: 2% per-txn spurious rate; empty body → no per-access rate.
         let rate = aborts as f64 / trials as f64;
         assert!((0.01..0.04).contains(&rate), "spurious rate {rate}");
+    }
+
+    #[test]
+    fn a_zero_rate_attempt_draws_nothing() {
+        let a = HtmCell::new(1u64);
+        let mut r = rng();
+        let before = r.clone();
+        for _ in 0..100 {
+            attempt(&profile(), &mut r, || a.get()).unwrap();
+        }
+        assert_eq!(r, before, "a testbed attempt must not draw");
+    }
+
+    #[test]
+    fn spurious_access_aborts_happen_at_profile_rate() {
+        // rock: 0.0012 per access. Count the accesses that reach the
+        // spurious check (the aborting one included) and the aborts raised
+        // after the body began; begin-time aborts never enter the body.
+        let p = Platform::rock().htm.unwrap();
+        let cells: Vec<HtmCell<u64>> = (0..4).map(HtmCell::new).collect();
+        let mut r = rng();
+        let (accesses, in_body) = (Cell::new(0u64), Cell::new(false));
+        let mut aborts = 0u64;
+        while accesses.get() < 1_000_000 {
+            in_body.set(false);
+            let res = attempt(&p, &mut r, || {
+                in_body.set(true);
+                cells.iter().fold(0, |sum, c| {
+                    accesses.set(accesses.get() + 1);
+                    sum + c.get()
+                })
+            });
+            if let Err(st) = res {
+                if in_body.get() {
+                    assert_eq!(st.code, AbortCode::Spurious);
+                    aborts += 1;
+                }
+            }
+        }
+        let rate = aborts as f64 / accesses.get() as f64;
+        assert!(
+            (0.0012 * 0.85..0.0012 * 1.15).contains(&rate),
+            "per-access spurious rate {rate}"
+        );
+    }
+
+    #[test]
+    fn a_new_profile_rebuilds_the_clock() {
+        // Run rock until its clock has fired at least once, then switch to
+        // the testbed on the same thread: the testbed clock never fires.
+        let rock = Platform::rock().htm.unwrap();
+        let a = HtmCell::new(0u64);
+        let mut r = rng();
+        while attempt(&rock, &mut r, || a.get()).is_ok() {}
+        for _ in 0..10_000 {
+            assert!(attempt(&profile(), &mut r, || a.get()).is_ok());
+        }
     }
 
     #[test]

@@ -39,6 +39,16 @@ impl Rng {
         Rng { s }
     }
 
+    /// A generator from raw xoshiro state (not all zero), for `const`
+    /// initialisers; [`Rng::new`] is the way to seed one.
+    pub const fn from_state(s: [u64; 4]) -> Self {
+        assert!(
+            s[0] | s[1] | s[2] | s[3] != 0,
+            "xoshiro state must not be all zero"
+        );
+        Rng { s }
+    }
+
     /// Derive an independent stream, e.g. one per (thread, purpose).
     pub fn fork(&mut self, stream: u64) -> Rng {
         Rng::new(self.next_u64() ^ stream.wrapping_mul(0xD1342543DE82EF95))

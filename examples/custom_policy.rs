@@ -21,7 +21,7 @@ use ale_core::policy::{AttemptPlan, ExecRecord, ModeCaps, Policy};
 use ale_core::{scope, Ale, AleConfig, CsOptions, ExecMode, Granule, LockMeta, StaticPolicy};
 use ale_htm::HtmCell;
 use ale_sync::SpinLock;
-use ale_vtime::{Platform, Rng, Sim};
+use ale_vtime::{Platform, Sim};
 
 /// Per-granule state: a sliding window of recent HTM outcomes packed into
 /// one atomic (successes in the low half, attempts in the high half).
@@ -68,7 +68,7 @@ impl Policy for ThrottlePolicy {
         Box::new(Window::default())
     }
 
-    fn plan(&self, _m: &LockMeta, g: &Granule, caps: ModeCaps, _rng: &mut Rng) -> AttemptPlan {
+    fn plan(&self, _m: &LockMeta, g: &Granule, caps: ModeCaps) -> AttemptPlan {
         let window = g.policy_state.downcast_ref::<Window>().unwrap();
         let rate = window.success_rate();
         let x = if !caps.htm {
@@ -88,7 +88,7 @@ impl Policy for ThrottlePolicy {
         }
     }
 
-    fn on_complete(&self, _m: &LockMeta, g: &Granule, rec: &ExecRecord, _rng: &mut Rng) {
+    fn on_complete(&self, _m: &LockMeta, g: &Granule, rec: &ExecRecord) {
         if rec.htm_attempts > 0 {
             let window = g.policy_state.downcast_ref::<Window>().unwrap();
             window.record(rec.mode == Some(ExecMode::Htm));

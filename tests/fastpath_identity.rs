@@ -9,8 +9,9 @@
 //! simulator and on real threads. Neither policy reads those counters, so
 //! the pins depend on the schedule alone. The test names are
 //! historical (PR 10's fast-path refactor first pinned these cells); the
-//! values were last re-blessed in PR 25, when the simulator-only per-event
-//! statistics arm was deleted. (The ale-check half of this pin set lives
+//! values were re-blessed when the simulator-only per-event statistics
+//! arm was deleted, and again when spurious aborts and timing samples
+//! stopped drawing per section. (The ale-check half of this pin set lives
 //! in `crates/check/tests/digest_regressions.rs`.)
 //!
 //! BLESS=1 prints the constants instead of failing — re-bless only for a
@@ -24,13 +25,13 @@ use ale_vtime::Platform;
 
 /// The fig2 shape: Haswell / Adaptive-All / 2i/2r/96g, 8 threads, 200 ops
 /// + 50 warm-up per lane, seed 42.
-const FIG2_MAKESPAN_NS: u64 = 147665;
-const FIG2_CSV: &str = "platform,variant,threads,total_ops,makespan_ns,mops\nhaswell,Adaptive-All,8,1600,147665,10.8353\n";
+const FIG2_MAKESPAN_NS: u64 = 148049;
+const FIG2_CSV: &str = "platform,variant,threads,total_ops,makespan_ns,mops\nhaswell,Adaptive-All,8,1600,148049,10.8072\n";
 
 /// The same cell through the *static* policy the sharded trajectory cell
 /// uses, on the testbed model (seed 7) — a second, independent schedule.
-const STATIC_MAKESPAN_NS: u64 = 59810;
-const STATIC_CSV: &str = "platform,variant,threads,total_ops,makespan_ns,mops\ntestbed,Static-All-0:6,4,800,59810,13.3757\n";
+const STATIC_MAKESPAN_NS: u64 = 59925;
+const STATIC_CSV: &str = "platform,variant,threads,total_ops,makespan_ns,mops\ntestbed,Static-All-0:6,4,800,59925,13.3500\n";
 
 fn fig2_shaped_cell() -> RunResult {
     run_hashmap(
