@@ -146,16 +146,6 @@ impl FailureModel {
     pub fn spurious_retry_hint(&self) -> bool {
         self.profile().spurious_retry_hint
     }
-
-    /// Has the read set outgrown the platform?
-    pub fn read_capacity_exceeded(&self, distinct_reads: usize) -> bool {
-        distinct_reads > self.profile().max_read_set
-    }
-
-    /// Has the write set outgrown the platform?
-    pub fn write_capacity_exceeded(&self, distinct_writes: usize) -> bool {
-        distinct_writes > self.profile().max_write_set
-    }
 }
 
 #[cfg(test)]
@@ -176,8 +166,6 @@ mod tests {
             assert!(!m.txn_spurious());
             assert!(!m.access_spurious());
         }
-        assert!(!m.read_capacity_exceeded(1 << 16));
-        assert!(m.read_capacity_exceeded((1 << 16) + 1));
     }
 
     #[test]
@@ -208,15 +196,6 @@ mod tests {
         let mut m = FailureModel::new();
         m.use_profile(&p, || 1);
         assert!((0..100).all(|_| m.access_spurious()));
-    }
-
-    #[test]
-    fn capacity_checks_match_profile() {
-        let m = model(Platform::rock);
-        assert!(!m.write_capacity_exceeded(32));
-        assert!(m.write_capacity_exceeded(33));
-        assert!(!m.read_capacity_exceeded(2048));
-        assert!(m.read_capacity_exceeded(2049));
     }
 
     #[test]

@@ -18,15 +18,16 @@
 //!
 //! # The version clock
 //!
-//! Sections that do not conflict must not communicate, so a plain store
-//! never *writes* the global clock: it publishes
+//! Sections that do not conflict must not communicate, so neither a plain
+//! store nor a writing commit *writes* the global clock: both publish
 //! `max(clock, old version) + 1` from a **load** of it (TL2's "GV5").
 //! Versions therefore run ahead of the clock, and a transaction that meets
 //! one newer than its snapshot does not abort: it re-checks its read set
 //! and, if nothing it read has changed, moves its snapshot forward
-//! (LSA / TinySTM timestamp extension, `txn::tx_read`). Only a *writing
-//! commit* and that extension ever write the clock. Four invariants hold
-//! the scheme together (DESIGN.md §5.1 has the arguments):
+//! (LSA / TinySTM timestamp extension, `txn::tx_read`). That extension is
+//! the only writer of the clock, and only when it finds the clock below
+//! the version it met. Four invariants hold the scheme together (DESIGN.md
+//! §5.1 has the arguments):
 //!
 //! * **I1** — a cell's version strictly increases on every write, even
 //!   while the clock stands still ([`next_version`]). `load_consistent`'s
@@ -34,9 +35,10 @@
 //!   `clock + 1` would republish the same meta word over a new value.
 //! * **I2** — a write that locks a cell after a transaction read it
 //!   publishes a version above that transaction's snapshot. Writer: lock
-//!   the meta word, *then* load the clock. Reader: load / `fetch_max` the
-//!   clock, *then* load the meta word. That is a store-buffering pair, so
-//!   those four accesses are `SeqCst` (free on x86: the RMWs are locked
+//!   the meta word, *then* load the clock. Reader: load the clock (an
+//!   extension that finds it below the version it met also `fetch_max`es
+//!   it), *then* load the meta word. That is a store-buffering pair, so
+//!   those accesses are `SeqCst` (free on x86: the RMWs are locked
 //!   instructions anyway and a `SeqCst` load is a plain `mov`).
 //! * **I3** — whether a transaction's read set is still valid is decided
 //!   from the meta words of *its own* cells, never from the clock's
@@ -79,8 +81,9 @@ pub(crate) fn next_version(clock: u64, old_meta: u64) -> u64 {
 }
 
 /// The version clock on a cache line (and prefetch pair) of its own: every
-/// writer and every beginning transaction loads it, and the statics the
-/// linker would otherwise put beside it are read by every section.
+/// writer and every beginning transaction loads it, snapshot extensions
+/// write it, and the statics the linker would otherwise put beside it are
+/// read by every section.
 #[repr(align(128))]
 pub(crate) struct VersionClock(AtomicU64);
 
@@ -94,8 +97,9 @@ impl std::ops::Deref for VersionClock {
 }
 
 /// The global version clock. Transactions snapshot it at begin; plain
-/// stores only *load* it; writing commits and snapshot extensions advance
-/// it with `fetch_max`. See the module docs for the protocol.
+/// stores and writing commits only *load* it; a snapshot extension that
+/// finds it below the version it met advances it with `fetch_max`. See the
+/// module docs for the protocol.
 pub(crate) static GLOBAL_VCLOCK: VersionClock = VersionClock(AtomicU64::new(0));
 
 /// One word of transactional memory. See the module docs.

@@ -14,10 +14,11 @@
 //!   transaction has subscribed to), per cell and from the transaction's
 //!   first access to it. Every transactional read is opaque: it can never
 //!   observe inconsistent state; instead the transaction aborts.
-//! * **No communication without conflict** — a non-transactional store only
-//!   *loads* the version clock; the one cache line every thread shares is
-//!   written by writing commits and snapshot extensions alone (see
-//!   [`cell`] for the protocol and its invariants).
+//! * **No communication without conflict** — a non-transactional store and
+//!   a writing commit only *load* the version clock; the one cache line
+//!   every thread shares is written by snapshot extensions alone, and only
+//!   when the clock is behind the version they met (see [`cell`] for the
+//!   protocol and its invariants).
 //! * **Best-effort failures** — per-platform read/write-set capacity limits
 //!   and spurious aborts (probabilistic, deterministic under a seeded
 //!   [`Rng`](ale_vtime::Rng)), with abort status codes and an Intel-style

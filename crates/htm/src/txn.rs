@@ -18,10 +18,12 @@
 //!    into the write set. Capacity and per-access spurious aborts are
 //!    checked here.
 //! 3. **Commit** — lock the write-set cells (bounded spin, else conflict
-//!    abort), re-check the recorded read set, publish the buffered writes
-//!    under a version above every cell's old one and the clock, and advance
-//!    the clock to it (the one clock write of a writing commit; a read-only
-//!    commit writes nothing).
+//!    abort), re-check the recorded read set, and publish the buffered
+//!    writes under a version above every cell's old one and a *load* of the
+//!    clock — the GV5 rule plain stores follow. No commit writes the clock:
+//!    the next transaction to read a published cell meets a version ahead of
+//!    its snapshot and extends, and only an extension that finds the clock
+//!    below the version it met raises it.
 //!
 //! Aborts unwind with a private payload caught in [`attempt`] — control
 //! never returns into the body, matching real HTM. A process-wide panic
@@ -45,7 +47,9 @@ use crate::cell::{is_locked, next_version, ver_of, HtmCell, GLOBAL_VCLOCK, LOCKE
 /// conflict. Small: commit-time locks are held only for the publish phase.
 const COMMIT_SPIN_LIMIT: u32 = 64;
 
-/// Sliding window scanned to suppress duplicate read-set entries.
+/// How many of the most recently recorded reads a new read is checked
+/// against before it is recorded: a cell read again within this many
+/// distinct reads is not recorded twice.
 const READ_DEDUP_WINDOW: usize = 8;
 
 /// One transactional read: the cell's meta word and what it held.
@@ -68,7 +72,14 @@ struct WriteEntry {
 struct TxState {
     rv: u64,
     reads: Vec<ReadEntry>,
+    /// The meta words of the last [`READ_DEDUP_WINDOW`] recorded reads:
+    /// read number `i` sits in slot `i % READ_DEDUP_WINDOW`, and a slot no
+    /// read of this attempt has filled holds null (no cell's address).
+    recent: [*const AtomicU64; READ_DEDUP_WINDOW],
     writes: Vec<WriteEntry>,
+    /// The profile's capacities, copied at begin.
+    max_reads: usize,
+    max_writes: usize,
     fm: FailureModel,
 }
 
@@ -80,6 +91,8 @@ impl TxState {
         if self.fm.txn_spurious() {
             return Err(AbortStatus::spurious(self.fm.spurious_retry_hint()));
         }
+        self.max_reads = profile.max_read_set;
+        self.max_writes = profile.max_write_set;
         // SeqCst: the reader half of I2 (`cell` module docs) — every meta
         // word this transaction loads is loaded after this snapshot.
         self.rv = GLOBAL_VCLOCK.load(Ordering::SeqCst);
@@ -90,7 +103,25 @@ impl TxState {
     /// last one ended.
     fn disarm(&mut self) {
         self.reads.clear();
+        self.recent = [std::ptr::null(); READ_DEDUP_WINDOW];
         self.writes.clear();
+    }
+
+    /// Record a validated read of the cell whose meta word is `mp`, unless
+    /// one of the last [`READ_DEDUP_WINDOW`] recorded reads is of the same
+    /// cell; a new entry past the read capacity aborts.
+    #[inline]
+    fn record_read(&mut self, mp: *const AtomicU64, m1: u64) {
+        // `|`, not `||`: all slots are compared, with no branch per slot.
+        let seen = self.recent.iter().fold(false, |seen, &r| seen | (r == mp));
+        if seen {
+            return;
+        }
+        self.recent[self.reads.len() % READ_DEDUP_WINDOW] = mp;
+        self.reads.push((mp, m1));
+        if self.reads.len() > self.max_reads {
+            do_abort(AbortStatus::capacity());
+        }
     }
 }
 
@@ -103,7 +134,10 @@ thread_local! {
         RefCell::new(TxState {
             rv: 0,
             reads: Vec::new(),
+            recent: [std::ptr::null(); READ_DEDUP_WINDOW],
             writes: Vec::new(),
+            max_reads: 0,
+            max_writes: 0,
             fm: FailureModel::new(),
         })
     };
@@ -113,6 +147,7 @@ thread_local! {
 /// catch it by type, and [`attempt`] re-raises anything else.
 struct TxAbortUnwind(AbortStatus);
 
+#[cold]
 fn do_abort(status: AbortStatus) -> ! {
     std::panic::panic_any(TxAbortUnwind(status))
 }
@@ -329,14 +364,7 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
             do_abort(AbortStatus::conflict());
         }
 
-        let mp = meta as *const AtomicU64;
-        let start = tx.reads.len().saturating_sub(READ_DEDUP_WINDOW);
-        if !tx.reads[start..].iter().any(|r| r.0 == mp) {
-            tx.reads.push((mp, m1));
-            if fm.read_capacity_exceeded(tx.reads.len()) {
-                do_abort(AbortStatus::capacity());
-            }
-        }
+        tx.record_read(meta, m1);
         v
     })
 }
@@ -352,11 +380,18 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
 /// this transaction's own cells (I3).
 #[inline]
 fn extend(reads: &[ReadEntry], ver: u64) -> Option<u64> {
-    // SeqCst RMW: the reader half of I2 for the loads below — a writer that
+    // SeqCst: the reader half of I2 for the loads below — a writer that
     // locks one of these cells after we re-checked it loads the clock after
-    // this `fetch_max` and so publishes above the new snapshot. Raising the
-    // clock to `ver` also lets later transactions start past it.
-    let rv = GLOBAL_VCLOCK.fetch_max(ver, Ordering::SeqCst).max(ver);
+    // this access and so publishes above the new snapshot. The snapshot
+    // must not pass the clock, so a clock below `ver` is raised to it: the
+    // only clock write left in the engine, and the one that lets later
+    // transactions start past `ver`.
+    let clock = GLOBAL_VCLOCK.load(Ordering::SeqCst);
+    let rv = if clock >= ver {
+        clock
+    } else {
+        GLOBAL_VCLOCK.fetch_max(ver, Ordering::SeqCst).max(ver)
+    };
     for &(rp, recorded) in reads {
         // SAFETY: cells outlive the transactions that access them.
         // SeqCst: see above; a locked word differs from the recorded one.
@@ -414,7 +449,7 @@ pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
             buf,
             saved: 0,
         });
-        if fm.write_capacity_exceeded(tx.writes.len()) {
+        if tx.writes.len() > tx.max_writes {
             do_abort(AbortStatus::capacity());
         }
     });
@@ -476,17 +511,14 @@ fn commit(st: &mut TxState) -> Result<(), AbortStatus> {
         }
     }
 
-    // Phase 3: publish above every old version (I1) and the clock (I2).
-    // SeqCst load: ordered after the lock CASes of phase 1 (writer half of
-    // I2). SeqCst `fetch_max`: the one clock write of a writing commit, so
-    // transactions that begin later start at or past `wv` and read these
-    // cells without extending; no ordering depends on it.
+    // Phase 3: publish above every old version (I1) and the clock (I2),
+    // the GV5 rule of a plain store: the clock is only loaded. SeqCst:
+    // ordered after the lock CASes of phase 1 (writer half of I2).
     let clock = GLOBAL_VCLOCK.load(Ordering::SeqCst);
     let wv = st
         .writes
         .iter()
         .fold(0, |wv, w| wv.max(next_version(clock, w.saved)));
-    GLOBAL_VCLOCK.fetch_max(wv, Ordering::SeqCst);
     tick_n(Event::SharedStore, st.writes.len() as u64);
     for w in &st.writes {
         // SAFETY: we hold the cell lock; readers retry while locked.
@@ -604,6 +636,43 @@ mod tests {
         assert_eq!(r.unwrap_err().code, AbortCode::Conflict);
         assert!(!past_the_read.get(), "the abort must come from `b.get()`");
         assert_eq!((a.get(), b.get()), (1, 1));
+    }
+
+    #[test]
+    fn the_next_reader_of_a_committed_cell_extends_once_and_commits() {
+        // A writing commit publishes above the clock without raising it, so
+        // the next transaction begins below what it published, meets it at
+        // its first read, extends to it, and finds the second cell of the
+        // same commit (same version) inside the new snapshot. A test in a
+        // parallel thread may extend the clock past the commit before the
+        // reader begins; then the round proves nothing and is run again.
+        let (a, b) = (HtmCell::new(0u64), HtmCell::new(0u64));
+        let rv = || TX.with(|t| t.borrow().rv);
+        for round in 1..=100u64 {
+            attempt(&profile(), &mut rng(), || {
+                a.set(round);
+                b.set(round);
+            })
+            .unwrap();
+            let published = ver_of(a.meta_word().load(Ordering::Relaxed));
+            assert_eq!(published, ver_of(b.meta_word().load(Ordering::Relaxed)));
+            let (begin, after_a, after_b, x, y) = attempt(&profile(), &mut rng(), || {
+                let begin = rv();
+                let x = a.get();
+                let after_a = rv();
+                let y = b.get();
+                (begin, after_a, rv(), x, y)
+            })
+            .unwrap();
+            assert_eq!((x, y), (round, round));
+            if begin >= published {
+                continue;
+            }
+            assert!(after_a >= published, "the first read did not extend");
+            assert_eq!(after_b, after_a, "the second read extended again");
+            return;
+        }
+        panic!("no reader ever began below a commit's version: commits write the clock");
     }
 
     #[test]

@@ -85,9 +85,9 @@ fn elision_cell() -> (u64, u64) {
 const ELISION_CELL: (u64, u64) = (0x2a3aa, 0x8a73_4e88_cb83_15f6);
 
 /// I3: the cell is bit-identical while a foreign OS thread moves the clock
-/// as fast as it can — plain stores (versions that run ahead of the clock),
-/// transactional reads of them (extensions, which raise it) and writing
-/// commits (which raise it again), all on cells the simulation never sees.
+/// as fast as it can — plain stores and writing commits (versions that run
+/// ahead of the clock) and transactional reads of them (extensions, which
+/// raise it), all on cells the simulation never sees.
 /// Without the extension (plain GV5: abort on any version above the
 /// snapshot) the first read of a freshly released lock word is a conflict
 /// exactly when nobody else happened to raise the clock past it, and this
@@ -172,6 +172,79 @@ fn extension_never_shows_half_of_a_locked_update() {
             a.set(i);
             b.set(i);
             lock.release();
+            if i.is_multiple_of(64) {
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert!(
+        !torn_inside.load(Ordering::Relaxed),
+        "a running transaction saw a != b"
+    );
+    assert!(
+        commits.load(Ordering::Relaxed) > 0,
+        "no reader ever committed"
+    );
+    assert_eq!((a.get(), b.get()), (ROUNDS, ROUNDS));
+}
+
+/// The same opacity check with a *transactional* writer: each commit
+/// publishes both cells of the pair at one version above a load of the
+/// clock and leaves the clock where it was. Between pairs the writer also
+/// commits a third cell, `c`, three times, so `c`'s version runs ahead of
+/// the pair's; readers read `c` first. A snapshot extended to `c`'s version
+/// would then cover a pair committed after it — unless the extension raised
+/// the clock to that version, which is all that stands between a reader and
+/// a torn pair.
+#[test]
+fn extension_never_shows_half_of_a_transactional_update() {
+    const ROUNDS: u64 = 30_000;
+    let (a, b, c) = (HtmCell::new(0u64), HtmCell::new(0u64), HtmCell::new(0u64));
+    let done = AtomicBool::new(false);
+    let torn_inside = AtomicBool::new(false);
+    let commits = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (a, b, c) = (&a, &b, &c);
+            let (done, torn_inside, commits) = (&done, &torn_inside, &commits);
+            s.spawn(move || {
+                let profile = Platform::testbed().htm.unwrap();
+                let mut rng = Rng::new(200 + t);
+                let mut last = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let r = attempt(&profile, &mut rng, || {
+                        let _ = c.get();
+                        let (x, y) = (a.get(), b.get());
+                        if x != y {
+                            torn_inside.store(true, Ordering::Relaxed);
+                        }
+                        (x, y)
+                    });
+                    if let Ok((x, y)) = r {
+                        assert_eq!(x, y, "a committed reader saw a torn pair");
+                        assert!(x >= last, "a reader went back in time");
+                        last = x;
+                        commits.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        let profile = Platform::testbed().htm.unwrap();
+        let mut rng = Rng::new(199);
+        let mut commit = |body: &dyn Fn()| {
+            while attempt(&profile, &mut rng, body).is_err() {
+                std::hint::spin_loop();
+            }
+        };
+        for i in 1..=ROUNDS {
+            commit(&|| {
+                a.set(i);
+                b.set(i);
+            });
+            for _ in 0..3 {
+                commit(&|| c.set(c.get() + 1));
+            }
             if i.is_multiple_of(64) {
                 std::thread::yield_now();
             }

@@ -113,6 +113,50 @@ proptest! {
         }
     }
 
+    /// A read is recorded unless one of the last eight *recorded* reads is
+    /// of the same cell, and the entry that takes the read set past its
+    /// capacity aborts: after every read the set has exactly the length
+    /// that scanning that window gives, and the capacity abort comes at
+    /// the same read.
+    #[test]
+    fn read_set_dedup_matches_a_window_scan(
+        script in proptest::collection::vec(0usize..12, 0..80),
+        cap in 1usize..40,
+    ) {
+        const WINDOW: usize = 8;
+        let mut recorded: Vec<usize> = Vec::new();
+        let mut model_lens = Vec::new();
+        let mut model_abort = false;
+        for &i in &script {
+            let start = recorded.len().saturating_sub(WINDOW);
+            if !recorded[start..].contains(&i) {
+                recorded.push(i);
+                if recorded.len() > cap {
+                    model_abort = true;
+                    break;
+                }
+            }
+            model_lens.push(recorded.len());
+        }
+
+        let cells: Vec<HtmCell<u64>> = (0..12).map(HtmCell::new).collect();
+        let mut profile = Platform::testbed().htm.unwrap();
+        profile.max_read_set = cap;
+        let mut lens = Vec::new();
+        let r = attempt(&profile, &mut Rng::new(5), || {
+            for &i in &script {
+                let _ = cells[i].get();
+                lens.push(ale_htm::read_set_len());
+            }
+        });
+        if model_abort {
+            prop_assert_eq!(r.unwrap_err().code, AbortCode::Capacity);
+        } else {
+            prop_assert!(r.is_ok());
+        }
+        prop_assert_eq!(lens, model_lens);
+    }
+
     /// Non-transactional stores to disjoint cell sets never interfere with
     /// a committed transaction's cells.
     #[test]

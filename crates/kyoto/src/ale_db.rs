@@ -113,7 +113,9 @@ impl AleCacheDb {
 
     /// The hit path's record work under the nested slot critical section
     /// `scope`: read the value, then touch (Kyoto's move-to-front) inside
-    /// the conflicting region.
+    /// the conflicting region. A record already at the front of its chain
+    /// has nothing to move, so its hit opens no region: no indicator probe
+    /// in HTM mode, no version bump in Lock mode.
     fn touch(&self, ds: &DbSlot, scope: &'static ScopeId, key: u64) -> Option<Value> {
         ds.lock.cs_plain(scope, CsOptions::new(), |ics| {
             let (prev, id) = ds.store.search(key);
@@ -125,9 +127,11 @@ impl AleCacheDb {
             if ds.store.payload_cells() > 0 {
                 std::hint::black_box(ds.store.read_payload(id));
             }
-            ds.store.ver.conflicting(self.bump_needed(ics), || {
-                ds.store.move_to_front(key, prev, id)
-            });
+            if prev != NIL {
+                ds.store.ver.conflicting(self.bump_needed(ics), || {
+                    ds.store.move_to_front(key, prev, id)
+                });
+            }
             Some(val)
         })
     }
@@ -314,5 +318,81 @@ impl KyotoDb for AleCacheDb {
                 ds.store.slab.free(id);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ale_core::{AleConfig, StaticPolicy};
+    use ale_htm::{attempt, read_set_len};
+    use ale_vtime::{Platform, Rng};
+
+    use crate::db::slot_of;
+
+    /// A database whose slots are one chain each, holding two keys of one
+    /// slot: returns it with `(head, behind)`, the key at the front of the
+    /// chain and the one behind it.
+    fn two_in_one_chain(config: AleConfig, policy: StaticPolicy) -> (AleCacheDb, u64, u64) {
+        let ale = Ale::new(config, policy);
+        let db = AleCacheDb::new(
+            &ale,
+            DbConfig {
+                buckets_per_slot: 1,
+                capacity_per_slot: 64,
+                payload_cells: 0,
+            },
+        );
+        let behind = 1;
+        let head = (2..).find(|&k| slot_of(k) == slot_of(behind)).unwrap();
+        assert!(db.set(behind, 10) && db.set(head, 20));
+        (db, head, behind)
+    }
+
+    #[test]
+    fn a_lock_mode_head_hit_leaves_the_slot_version_alone() {
+        let config = AleConfig::new(Platform::testbed())
+            .without_htm()
+            .without_swopt();
+        let (db, head, behind) = two_in_one_chain(config, StaticPolicy::new(0, 0));
+        let ver = || db.slots[slot_of(head)].store.ver.read(false);
+        let v0 = ver();
+        assert_eq!(db.get(head), Some(20));
+        assert_eq!(ver(), v0, "a head hit bumped the slot version");
+        // The hit behind it moves, and a move is a conflicting action.
+        assert_eq!(db.get(behind), Some(10));
+        assert_eq!(ver(), v0 + 2);
+        assert_eq!(db.get(behind), Some(10));
+        assert_eq!(ver(), v0 + 2, "the moved record is the head now");
+    }
+
+    #[test]
+    fn an_htm_mode_head_hit_reads_no_indicator_stripe() {
+        let platform = Platform::testbed();
+        let profile = platform.htm.unwrap();
+        let (db, head, behind) =
+            two_in_one_chain(AleConfig::new(platform), StaticPolicy::new(4, 16));
+        let probe = || db.external_meta().grouping.could_swopt_be_running();
+        let stripes = attempt(&profile, &mut Rng::new(1), || {
+            assert!(!probe());
+            read_set_len()
+        })
+        .unwrap();
+        assert!(stripes > 0);
+        // Inside an enclosing transaction every section is flattened into
+        // it, in HTM mode. A read of a cell among the last eight recorded
+        // adds no entry, so a probe right after a hit adds none if the hit
+        // itself probed, and one entry per stripe if it did not.
+        let probe_adds = |key: u64| {
+            attempt(&profile, &mut Rng::new(1), || {
+                assert!(db.get(key).is_some());
+                let before = read_set_len();
+                probe();
+                read_set_len() - before
+            })
+            .unwrap()
+        };
+        assert_eq!(probe_adds(head), stripes, "a head hit read a stripe");
+        assert_eq!(probe_adds(behind), 0, "a moving hit must probe");
     }
 }

@@ -54,6 +54,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ale_core::{Ale, LockPoison};
 use ale_htm::inject::{self, mutated, CrashPoint, Mutation, TornMode};
+use ale_sync::CachePadded;
 use ale_vtime::{tick, Event};
 
 use crate::ale_db::{AleCacheDb, DbConfig};
@@ -182,11 +183,12 @@ struct WalInner {
     log: Vec<u8>,
     next_seq: u64,
     appends: u64,
-    /// Always empty outside the `WalAckBeforeDurable` self-test mutation:
+    /// Always `None` outside the `WalAckBeforeDurable` self-test mutation:
     /// the volatile "OS buffer" a record sits in while its caller is
     /// already acknowledged — flushed only by the *next* append, so a
-    /// crash in between loses an acked operation.
-    pending: Vec<u8>,
+    /// crash in between loses an acked operation. Boxed so the mutex and
+    /// everything it guards fit one cache line.
+    pending: Option<Box<[u8; RECORD_BYTES]>>,
 }
 
 /// The write-ahead log: an append-only sequence of checksummed
@@ -200,9 +202,12 @@ struct WalInner {
 /// [`TornMode`]. Once a crash has fired the medium is frozen: any further
 /// append raises [`ale_htm::InjectedCrash`], so post-mortem work can never
 /// extend a dead process's log.
+///
+/// Every append writes the mutex and the fields it guards, so they share
+/// one cache line, and the padding gives that line to them alone.
 #[derive(Default)]
 pub struct Wal {
-    inner: Mutex<WalInner>,
+    inner: CachePadded<Mutex<WalInner>>,
 }
 
 impl Default for WalInner {
@@ -211,7 +216,7 @@ impl Default for WalInner {
             log: Vec::new(),
             next_seq: 1,
             appends: 0,
-            pending: Vec::new(),
+            pending: None,
         }
     }
 }
@@ -282,8 +287,9 @@ impl Wal {
                 inject::crash_now();
             }
             if mutated(Mutation::WalAckBeforeDurable) {
-                let flushed = std::mem::replace(&mut g.pending, frame.to_vec());
-                g.log.extend_from_slice(&flushed);
+                if let Some(flushed) = g.pending.replace(Box::new(frame)) {
+                    g.log.extend_from_slice(flushed.as_slice());
+                }
             } else {
                 g.log.extend_from_slice(&frame);
             }
@@ -331,7 +337,7 @@ impl Wal {
         let mut g = self.lock();
         g.log.truncate(valid_len);
         g.next_seq = next_seq;
-        g.pending.clear();
+        g.pending = None;
     }
 }
 
@@ -696,6 +702,13 @@ mod tests {
         assert_eq!(s.report.applied, 1);
         assert_eq!(s.report.ignored, 2, "the cancelled record and its marker");
         assert_eq!(s.report.last_seq, 3);
+    }
+
+    #[test]
+    fn the_wal_mutex_and_its_fields_fill_one_line() {
+        assert!(std::mem::size_of::<Mutex<WalInner>>() <= 64);
+        assert!(std::mem::align_of::<Wal>() >= 64);
+        assert_eq!(std::mem::size_of::<Wal>(), std::mem::align_of::<Wal>());
     }
 
     #[test]
