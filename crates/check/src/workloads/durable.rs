@@ -24,7 +24,10 @@
 //!   enumeration of every key the workload can legally contain (a torn
 //!   record wrongly applied materialises a garbage key and inflates the
 //!   count);
-//! * record seqs are gapless up to the truncation point;
+//! * record seqs are gapless up to the truncation point, and none below
+//!   the last trusted one is missing from every WAL segment (a crash fires
+//!   inside one append, with no other in flight, so the only seq it can
+//!   lose is the highest drawn);
 //! * init-phase records (armed before the crash plan) always survive.
 //!
 //! Crash-free runs instead require recovery to reproduce the live database
@@ -70,6 +73,12 @@ pub(super) fn run(cfg: &CheckConfig) -> WorkloadOutcome {
         violations.record(format!(
             "durable: recovered log has a seq gap (last trusted seq {})",
             rec.last_seq
+        ));
+    }
+    if rec.missing != 0 {
+        violations.record(format!(
+            "durable: {} seq(s) below {} missing from every segment",
+            rec.missing, rec.last_seq
         ));
     }
     if !crashed && rec.truncated != 0 {
