@@ -359,30 +359,31 @@ fn run_cs<T, O: LockOps + ?Sized>(
     let exec_start = measure.then(now);
 
     let mut rec = ExecRecord::new();
-    // Flushes when dropped: below on completion, or by a panicking body's
-    // unwind.
-    let mut sink = StatSink::new(&granule.stats);
-    let (value, exec_end) = run_protocol(
-        t,
-        ale,
-        meta,
-        scope,
-        ops,
-        opts,
-        body,
-        granule,
-        &mut rng,
-        plan,
-        use_grouping,
-        reentrant,
-        exec_start,
-        lock_key,
-        &mut rec,
-        &mut sink,
-    );
-
-    sink.record_execution();
-    drop(sink);
+    let (value, exec_end) = {
+        // Flushed where it lives, never moved: at the end of this block on
+        // completion, or by a panicking body's unwind.
+        let mut sink = StatSink::new(&granule.stats);
+        let out = run_protocol(
+            t,
+            ale,
+            meta,
+            scope,
+            ops,
+            opts,
+            body,
+            granule,
+            &mut rng,
+            plan,
+            use_grouping,
+            reentrant,
+            exec_start,
+            lock_key,
+            &mut rec,
+            &mut sink,
+        );
+        sink.record_execution();
+        out
+    };
     if let (Some(start), Some(end)) = (exec_start, exec_end) {
         let total = end.saturating_sub(start);
         granule.stats.exec_time.add_duration(total);

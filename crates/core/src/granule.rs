@@ -106,7 +106,10 @@ struct StatDelta {
 /// counter with one [`StatCounter::add_drawn`], all rounding from one
 /// [`fold_draw`](ale_sync::fold_draw). The flush is tick- and
 /// RNG-free: recording statistics adds no yield point and draws nothing
-/// from the lane's stream (DESIGN.md §14).
+/// from the lane's stream (DESIGN.md §14). `run_cs` keeps the sink where
+/// it was built and lets it drop there: moving it would copy the delta
+/// with wide loads over the narrow stores that had just written it, a
+/// store-forwarding stall.
 #[derive(Debug)]
 pub struct StatSink<'a> {
     stats: &'a GranuleStats,
@@ -116,7 +119,7 @@ pub struct StatSink<'a> {
 impl<'a> StatSink<'a> {
     /// Does nothing: there is one statistics path now.
     /// `benchmark/src/cells.rs:219,229` still calls it; the follow-up
-    /// `[benchmark]` PR of ROADMAP item 2a deletes both calls and this fn.
+    /// `[benchmark]` PR of ROADMAP item 3(a) deletes both calls and this fn.
     #[doc(hidden)]
     pub fn force_batched(_on: bool) {}
 
@@ -178,6 +181,7 @@ impl Drop for StatSink<'_> {
     /// The flush: at most one shared update per nonzero field, and one
     /// rounding draw for the whole flush (each counter takes its own
     /// rotation of it).
+    #[inline]
     fn drop(&mut self) {
         let (s, d) = (self.stats, &self.delta);
         // Self-test mutation (`StatBatchLost`): the flush silently drops

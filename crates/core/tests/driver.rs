@@ -683,26 +683,36 @@ fn capacity_abort_stops_htm_retries_immediately() {
     assert!(cells.iter().all(|c| c.get() == 1));
 }
 
+/// The statistics flush is exact below the counters' threshold: N sections
+/// that each commit on their first HTM attempt leave exactly N executions,
+/// N HTM attempts and N HTM successes in their granule, and nothing else.
 #[test]
-fn clh_lock_is_elidable() {
-    use ale_sync::ClhLock;
-    let ale = ale_with(Platform::testbed(), StaticPolicy::new(4, 0));
-    let lock = ale.new_lock("clh", ClhLock::new());
+fn first_attempt_commits_flush_exact_counts() {
+    const N: u64 = 3000;
+    let ale = ale_with(Platform::testbed(), StaticPolicy::new(3, 8));
+    let lock = ale.new_lock("flush", SpinLock::new());
     let cell = HtmCell::new(0u64);
-    Sim::new(Platform::testbed(), 4).with_seed(16).run(|_| {
-        for _ in 0..200 {
-            lock.cs_plain(scope!("clh_cs"), CsOptions::new(), |_| {
-                cell.set(cell.get() + 1);
-            });
-        }
-    });
-    assert_eq!(cell.get(), 800);
+    for _ in 0..N {
+        lock.cs_plain(scope!("flush_cs"), CsOptions::new(), |_| {
+            cell.set(cell.get() + 1);
+        });
+    }
+    assert_eq!(cell.get(), N);
     let report = ale.report();
-    let g = &report.lock("clh").unwrap().granules[0];
-    assert!(
-        g.successes[ExecMode::Htm.index()] > 0,
-        "a queue lock must elide like any other RawLock: {report}"
-    );
+    let granules = &report.lock("flush").unwrap().granules;
+    assert_eq!(granules.len(), 1, "{report}");
+    let g = &granules[0];
+    assert_eq!(g.executions, N);
+    assert_eq!(g.attempts, [N, 0, 0]);
+    assert_eq!(g.successes, [N, 0, 0]);
+    let aborts = [
+        g.lock_held_aborts,
+        g.conflict_aborts,
+        g.capacity_aborts,
+        g.spurious_aborts,
+        g.swopt_fails,
+    ];
+    assert_eq!(aborts, [0; 5], "{report}");
 }
 
 #[test]

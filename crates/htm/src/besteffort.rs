@@ -90,9 +90,9 @@ impl Default for FailureModel {
 }
 
 impl FailureModel {
-    /// A model with no profile yet: the first [`use_profile`] builds it.
+    /// A model with no profile yet: the first [`rebuild`] builds it.
     ///
-    /// [`use_profile`]: FailureModel::use_profile
+    /// [`rebuild`]: FailureModel::rebuild
     pub const fn new() -> Self {
         FailureModel {
             profile: None,
@@ -102,24 +102,27 @@ impl FailureModel {
         }
     }
 
-    /// Put `profile` in force, rebuilding the clock if it differs from the
-    /// one in force. `seed` is called only by a rebuild for a profile with
-    /// a nonzero spurious rate; a zero-rate profile never calls it.
+    /// Whether putting `profile` in force needs a new clock — `None` when
+    /// it is the profile in force — and, if it does, whether that clock
+    /// takes a seed (only a profile with a nonzero spurious rate draws).
     #[inline]
-    pub fn use_profile(&mut self, profile: &HtmProfile, seed: impl FnOnce() -> u64) {
-        if self.profile.as_ref() != Some(profile) {
-            self.rebuild(profile, seed);
+    pub fn rebuild_for(&self, profile: &HtmProfile) -> Option<bool> {
+        if self.profile.as_ref() == Some(profile) {
+            return None;
         }
+        Some(profile.spurious_abort_per_txn > 0.0 || profile.spurious_abort_per_access > 0.0)
     }
 
+    /// Put `profile` in force with a new clock, seeded from `seed` when the
+    /// profile has a nonzero spurious rate (`seed` is unused otherwise).
     #[cold]
-    fn rebuild(&mut self, profile: &HtmProfile, seed: impl FnOnce() -> u64) {
+    pub fn rebuild(&mut self, profile: &HtmProfile, seed: u64) {
         let (pt, pa) = (
             profile.spurious_abort_per_txn,
             profile.spurious_abort_per_access,
         );
         if pt > 0.0 || pa > 0.0 {
-            self.rng = Rng::new(seed() ^ CLOCK_STREAM);
+            self.rng = Rng::new(seed ^ CLOCK_STREAM);
         }
         self.txn = Gap::new(pt, &mut self.rng);
         self.access = Gap::new(pa, &mut self.rng);
@@ -155,7 +158,7 @@ mod tests {
 
     fn model(p: fn() -> Platform) -> FailureModel {
         let mut m = FailureModel::new();
-        m.use_profile(&p().htm.expect("platform has HTM"), || 7);
+        m.rebuild(&p().htm.expect("platform has HTM"), 7);
         m
     }
 
@@ -194,7 +197,7 @@ mod tests {
         let mut p = Platform::rock().htm.unwrap();
         p.spurious_abort_per_access = 1.0;
         let mut m = FailureModel::new();
-        m.use_profile(&p, || 1);
+        m.rebuild(&p, 1);
         assert!((0..100).all(|_| m.access_spurious()));
     }
 

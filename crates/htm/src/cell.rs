@@ -147,10 +147,9 @@ impl<T: Copy> HtmCell<T> {
     /// [`attempt`]: crate::attempt
     #[inline]
     pub fn get(&self) -> T {
-        if txn::in_txn() {
-            txn::tx_read(self)
-        } else {
-            self.load_consistent()
+        match txn::active() {
+            Some(tx) => txn::tx_read(tx, self),
+            None => self.load_consistent(),
         }
     }
 
@@ -158,10 +157,9 @@ impl<T: Copy> HtmCell<T> {
     /// transaction; otherwise a version-advancing plain store.
     #[inline]
     pub fn set(&self, value: T) {
-        if txn::in_txn() {
-            txn::tx_write(self, value);
-        } else {
-            self.plain_store(value);
+        match txn::active() {
+            Some(tx) => txn::tx_write(tx, self, value),
+            None => self.plain_store(value),
         }
     }
 
@@ -264,8 +262,13 @@ impl<T: Copy> HtmCell<T> {
     }
 
     /// Non-transactional store: lock the cell, write, release with a fresh
-    /// version (invalidating concurrent transactional readers).
-    pub(crate) fn plain_store(&self, value: T) {
+    /// version (invalidating concurrent transactional readers). What
+    /// [`set`](Self::set) does outside a transaction; inside one it is
+    /// still not transactional — to the running transaction it is another
+    /// thread's write, so a later read of a cell it had read aborts it
+    /// with a conflict (the counterpart of
+    /// [`load_consistent`](Self::load_consistent)).
+    pub fn plain_store(&self, value: T) {
         let m = self.lock_plain();
         // SAFETY: we hold the cell lock; seqlock readers retry while locked.
         unsafe { std::ptr::write_volatile(self.value.get(), value) };
@@ -286,10 +289,10 @@ impl<T: Copy> HtmCell<T> {
     where
         T: PartialEq,
     {
-        if txn::in_txn() {
-            let seen = txn::tx_read(self);
+        if let Some(tx) = txn::active() {
+            let seen = txn::tx_read(tx, self);
             return if seen == current {
-                txn::tx_write(self, new);
+                txn::tx_write(tx, self, new);
                 Ok(seen)
             } else {
                 Err(seen)

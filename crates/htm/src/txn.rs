@@ -32,8 +32,9 @@
 //! Nested [`attempt`]s are *flattened* into the enclosing transaction,
 //! which is also what the ALE library expects of HTM (§4.1 of the paper).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -69,12 +70,13 @@ struct WriteEntry {
 /// steady-state attempt neither allocates nor moves the state. The failure
 /// model outlives the attempts too: its spurious-event clock runs across
 /// all of this thread's transactions.
-struct TxState {
+pub(crate) struct TxState {
     rv: u64,
     reads: Vec<ReadEntry>,
     /// The meta words of the last [`READ_DEDUP_WINDOW`] recorded reads:
-    /// read number `i` sits in slot `i % READ_DEDUP_WINDOW`, and a slot no
-    /// read of this attempt has filled holds null (no cell's address).
+    /// read number `i` sits in slot `i % READ_DEDUP_WINDOW`. Only the
+    /// first `min(reads.len(), READ_DEDUP_WINDOW)` slots belong to this
+    /// attempt, so disarming leaves the ring as it is.
     recent: [*const AtomicU64; READ_DEDUP_WINDOW],
     writes: Vec<WriteEntry>,
     /// The profile's capacities, copied at begin.
@@ -84,10 +86,10 @@ struct TxState {
 }
 
 impl TxState {
-    /// Begin under `profile`: a spurious abort at begin, or the snapshot.
-    fn arm(&mut self, profile: &HtmProfile, seed: impl FnOnce() -> u64) -> Result<(), AbortStatus> {
+    /// Begin under `profile`, whose clock is in force: a spurious abort at
+    /// begin, or the snapshot.
+    fn arm(&mut self, profile: &HtmProfile) -> Result<(), AbortStatus> {
         debug_assert!(self.reads.is_empty() && self.writes.is_empty());
-        self.fm.use_profile(profile, seed);
         if self.fm.txn_spurious() {
             return Err(AbortStatus::spurious(self.fm.spurious_retry_hint()));
         }
@@ -103,7 +105,6 @@ impl TxState {
     /// last one ended.
     fn disarm(&mut self) {
         self.reads.clear();
-        self.recent = [std::ptr::null(); READ_DEDUP_WINDOW];
         self.writes.clear();
     }
 
@@ -112,12 +113,14 @@ impl TxState {
     /// cell; a new entry past the read capacity aborts.
     #[inline]
     fn record_read(&mut self, mp: *const AtomicU64, m1: u64) {
-        // `|`, not `||`: all slots are compared, with no branch per slot.
-        let seen = self.recent.iter().fold(false, |seen, &r| seen | (r == mp));
-        if seen {
+        let n = self.reads.len();
+        // `|`, not `||`: the live slots are compared with no branch per
+        // slot. The first read of an attempt has none to compare.
+        let live = &self.recent[..n.min(READ_DEDUP_WINDOW)];
+        if live.iter().fold(false, |seen, &r| seen | (r == mp)) {
             return;
         }
-        self.recent[self.reads.len() % READ_DEDUP_WINDOW] = mp;
+        self.recent[n % READ_DEDUP_WINDOW] = mp;
         self.reads.push((mp, m1));
         if self.reads.len() > self.max_reads {
             do_abort(AbortStatus::capacity());
@@ -126,21 +129,50 @@ impl TxState {
 }
 
 thread_local! {
-    /// "This thread is inside a transaction". Const-initialised and
-    /// destructor-free, so the check in every `HtmCell` access outside a
-    /// transaction is one thread-relative load.
-    static IN_TXN: Cell<bool> = const { Cell::new(false) };
-    static TX: RefCell<TxState> = const {
-        RefCell::new(TxState {
+    /// The transaction running on this thread: its [`TxState`] from the end
+    /// of a successful arm to the end of the body, null otherwise — the
+    /// "inside a transaction" flag and the way to the state in one word.
+    /// Const-initialised and destructor-free, so the check in every
+    /// `HtmCell` access is one thread-relative load, and a transactional
+    /// access reaches the state through no accessor call and no borrow flag.
+    static ACTIVE: Cell<*mut TxState> = const { Cell::new(ptr::null_mut()) };
+    /// The state itself, reached through `LocalKey::with` once per attempt.
+    static TX: UnsafeCell<TxState> = const {
+        UnsafeCell::new(TxState {
             rv: 0,
             reads: Vec::new(),
-            recent: [std::ptr::null(); READ_DEDUP_WINDOW],
+            recent: [ptr::null(); READ_DEDUP_WINDOW],
             writes: Vec::new(),
             max_reads: 0,
             max_writes: 0,
             fm: FailureModel::new(),
         })
     };
+}
+
+/// The calling thread's running transaction (see [`active`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Active(NonNull<TxState>);
+
+impl Active {
+    /// The transaction's state. The transactional accessors below hold it
+    /// across no user code and never call one another; [`attempt_seeded`]
+    /// holds none while the body runs.
+    ///
+    /// # Safety
+    /// No other reference to the state may be live while this one is used.
+    #[inline]
+    unsafe fn state<'a>(self) -> &'a mut TxState {
+        // SAFETY: `ACTIVE` only ever holds this thread's `TX`, which lives
+        // until the thread exits; exclusivity is the caller's contract.
+        unsafe { &mut *self.0.as_ptr() }
+    }
+}
+
+/// The transaction running on the calling thread, if any.
+#[inline]
+pub(crate) fn active() -> Option<Active> {
+    NonNull::new(ACTIVE.get()).map(Active)
 }
 
 /// Unwind payload used for abort control flow. Private: user code cannot
@@ -187,23 +219,20 @@ pub fn init_panic_hook() {
 /// True while the calling thread is inside a transaction.
 #[inline]
 pub fn in_txn() -> bool {
-    IN_TXN.with(Cell::get)
+    !ACTIVE.get().is_null()
 }
 
 /// Number of entries currently in the read set (0 outside a transaction).
 pub fn read_set_len() -> usize {
-    if !in_txn() {
-        return 0;
-    }
-    TX.with(|t| t.borrow().reads.len())
+    // SAFETY: a read of a length, under no other reference (called from a
+    // body, never from inside an accessor).
+    active().map_or(0, |tx| unsafe { tx.state() }.reads.len())
 }
 
 /// Number of entries currently in the write set (0 outside a transaction).
 pub fn write_set_len() -> usize {
-    if !in_txn() {
-        return 0;
-    }
-    TX.with(|t| t.borrow().writes.len())
+    // SAFETY: as in `read_set_len`.
+    active().map_or(0, |tx| unsafe { tx.state() }.writes.len())
 }
 
 /// Explicitly abort the enclosing transaction with a user code
@@ -234,6 +263,9 @@ pub fn attempt<R>(
 /// the thread's spurious-event clock is rebuilt for a profile with a
 /// nonzero spurious rate, so a caller that owns no random stream until it
 /// needs one forks nothing for a transaction that commits.
+///
+/// The body is called where the caller built it: what crosses into
+/// `catch_unwind` is one pointer to it, not a copy of its captures.
 pub fn attempt_seeded<R>(
     profile: &HtmProfile,
     seed: impl FnOnce() -> u64,
@@ -261,112 +293,131 @@ pub fn attempt_seeded<R>(
         None => {}
     }
 
-    TX.with(|slot| {
-        if let Err(status) = slot.borrow_mut().arm(profile, seed) {
-            tick(Event::HtmAbort);
-            return Err(status);
+    // The state is reached once per attempt; arm, commit and disarm all
+    // go through this pointer.
+    let tx = TX.with(UnsafeCell::get);
+    // A new profile gets a new spurious-event clock. Its seed comes from the
+    // caller's code, which runs with no reference to the state live (it
+    // could even run a transaction of its own).
+    // SAFETY: no transaction is running on this thread (checked above), so
+    // nothing else refers to its state; each reference below ends with its
+    // statement, and neither `rebuild` nor `arm` runs the caller's code.
+    if let Some(seeded) = unsafe { &(*tx).fm }.rebuild_for(profile) {
+        let seed = if seeded { seed() } else { 0 };
+        // SAFETY: as above.
+        unsafe { &mut (*tx).fm }.rebuild(profile, seed);
+    }
+    // SAFETY: as above.
+    if let Err(status) = unsafe { &mut *tx }.arm(profile) {
+        tick(Event::HtmAbort);
+        return Err(status);
+    }
+    // The guard disarms on every way out — commit, abort, planned panic,
+    // user panic — so the next attempt on this thread always finds the
+    // state idle.
+    struct Disarm(*mut TxState);
+    impl Drop for Disarm {
+        fn drop(&mut self) {
+            // SAFETY: the body has ended and `ACTIVE` is clear, so no other
+            // reference to the state exists.
+            unsafe { &mut *self.0 }.disarm();
         }
-        // No borrow of `slot` is held while the body runs or when an unwind
-        // leaves `attempt`, and the guard disarms on every way out — commit,
-        // abort, planned panic, user panic — so the next attempt on this
-        // thread always finds the state free and idle.
-        struct Disarm<'a>(&'a RefCell<TxState>);
-        impl Drop for Disarm<'_> {
-            fn drop(&mut self) {
-                self.0.borrow_mut().disarm();
-            }
-        }
-        let _disarm = Disarm(slot);
-        IN_TXN.with(|f| f.set(true));
-        let outcome = catch_unwind(AssertUnwindSafe(body));
-        IN_TXN.with(|f| f.set(false));
+    }
+    let _disarm = Disarm(tx);
+    let mut body = Some(body);
+    ACTIVE.set(tx);
+    let outcome = catch_unwind(AssertUnwindSafe(|| (body.take().expect("called once"))()));
+    ACTIVE.set(ptr::null_mut());
 
-        match outcome {
-            Ok(value) => {
-                let committed = match crate::inject::check(crate::inject::InjectPoint::Commit) {
-                    Some(crate::inject::Injected::Abort(status)) => Err(status),
-                    Some(crate::inject::Injected::Panic) => {
-                        // Planned panic at commit entry: the transaction dies
-                        // with its buffered writes and the unwind reaches the
-                        // driver, exactly like a body panic would.
-                        tick(Event::HtmAbort);
-                        do_injected_panic();
-                    }
-                    None => commit(&mut slot.borrow_mut()),
-                };
-                match committed {
-                    Ok(()) => {
-                        tick(Event::HtmCommit);
-                        Ok(value)
-                    }
-                    Err(status) => {
-                        tick(Event::HtmAbort);
-                        Err(status)
-                    }
+    match outcome {
+        Ok(value) => {
+            let committed = match crate::inject::check(crate::inject::InjectPoint::Commit) {
+                Some(crate::inject::Injected::Abort(status)) => Err(status),
+                Some(crate::inject::Injected::Panic) => {
+                    // Planned panic at commit entry: the transaction dies
+                    // with its buffered writes and the unwind reaches the
+                    // caller, exactly like a body panic would.
+                    tick(Event::HtmAbort);
+                    do_injected_panic();
                 }
-            }
-            Err(payload) => {
-                tick(Event::HtmAbort);
-                match payload.downcast::<TxAbortUnwind>() {
-                    Ok(ab) => Err(ab.0),
-                    Err(other) => resume_unwind(other),
+                // SAFETY: the body has ended and `ACTIVE` is clear; the
+                // reference ends with `commit`, before the guard's.
+                None => commit(unsafe { &mut *tx }),
+            };
+            match committed {
+                Ok(()) => {
+                    tick(Event::HtmCommit);
+                    Ok(value)
+                }
+                Err(status) => {
+                    tick(Event::HtmAbort);
+                    Err(status)
                 }
             }
         }
-    })
+        Err(payload) => {
+            tick(Event::HtmAbort);
+            match payload.downcast::<TxAbortUnwind>() {
+                Ok(ab) => Err(ab.0),
+                Err(other) => resume_unwind(other),
+            }
+        }
+    }
 }
 
-/// Transactional read of `cell` (called from `HtmCell::get`).
-pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
+/// Transactional read of `cell` by the running transaction `tx` (called
+/// from `HtmCell::get`).
+pub(crate) fn tx_read<T: Copy>(tx: Active, cell: &HtmCell<T>) -> T {
     tick(Event::SharedLoad);
     match crate::inject::check(crate::inject::InjectPoint::Read) {
         Some(crate::inject::Injected::Abort(status)) => do_abort(status),
         Some(crate::inject::Injected::Panic) => do_injected_panic(),
         None => {}
     }
-    TX.with(|slot| {
-        let mut borrow = slot.borrow_mut();
-        let tx = &mut *borrow;
-        let fm = &mut tx.fm;
+    // SAFETY: the only reference to the state until this read returns or
+    // aborts; nothing below takes another.
+    let tx = unsafe { tx.state() };
 
-        // Read-after-write: return the buffered value.
-        let vp = cell.value_ptr() as *mut u8;
+    // Read-after-write: return the buffered value. A read-only transaction
+    // has nothing to look up.
+    let vp = cell.value_ptr() as *mut u8;
+    if !tx.writes.is_empty() {
         if let Some(w) = tx.writes.iter().find(|w| w.value_ptr == vp) {
             // SAFETY: buf holds a valid T written by tx_write for this cell.
-            return unsafe { std::ptr::read_unaligned(w.buf.as_ptr() as *const T) };
+            return unsafe { ptr::read_unaligned(w.buf.as_ptr() as *const T) };
         }
+    }
 
-        if fm.access_spurious() {
-            let hint = fm.spurious_retry_hint();
-            do_abort(AbortStatus::spurious(hint));
-        }
+    if tx.fm.access_spurious() {
+        let hint = tx.fm.spurious_retry_hint();
+        do_abort(AbortStatus::spurious(hint));
+    }
 
-        let meta = cell.meta_word();
-        // SeqCst: the reader half of I2 — ordered after the clock access
-        // that fixed `rv` (begin or the last extension); it is also the
-        // acquire that orders the value read after the version check.
-        let m1 = meta.load(Ordering::SeqCst);
-        if is_locked(m1) {
-            do_abort(AbortStatus::conflict());
+    let meta = cell.meta_word();
+    // SeqCst: the reader half of I2 — ordered after the clock access that
+    // fixed `rv` (begin or the last extension); it is also the acquire that
+    // orders the value read after the version check.
+    let m1 = meta.load(Ordering::SeqCst);
+    if is_locked(m1) {
+        do_abort(AbortStatus::conflict());
+    }
+    if ver_of(m1) > tx.rv {
+        match extend(&tx.reads, ver_of(m1)) {
+            Some(rv) => tx.rv = rv,
+            None => do_abort(AbortStatus::conflict()),
         }
-        if ver_of(m1) > tx.rv {
-            match extend(&tx.reads, ver_of(m1)) {
-                Some(rv) => tx.rv = rv,
-                None => do_abort(AbortStatus::conflict()),
-            }
-        }
-        // SAFETY: value race resolved by the version re-check below.
-        let v = unsafe { std::ptr::read_volatile(cell.value_ptr()) };
-        fence(Ordering::Acquire);
-        // Relaxed: ordered after the value read by the fence above.
-        let m2 = meta.load(Ordering::Relaxed);
-        if m1 != m2 {
-            do_abort(AbortStatus::conflict());
-        }
+    }
+    // SAFETY: value race resolved by the version re-check below.
+    let v = unsafe { ptr::read_volatile(cell.value_ptr()) };
+    fence(Ordering::Acquire);
+    // Relaxed: ordered after the value read by the fence above.
+    let m2 = meta.load(Ordering::Relaxed);
+    if m1 != m2 {
+        do_abort(AbortStatus::conflict());
+    }
 
-        tx.record_read(meta, m1);
-        v
-    })
+    tx.record_read(meta, m1);
+    v
 }
 
 /// Snapshot extension: the transaction met version `ver` above its `rv`.
@@ -402,57 +453,55 @@ fn extend(reads: &[ReadEntry], ver: u64) -> Option<u64> {
     Some(rv)
 }
 
-/// Transactional (buffered) write of `cell` (called from `HtmCell::set`).
-pub(crate) fn tx_write<T: Copy>(cell: &HtmCell<T>, value: T) {
+/// Transactional (buffered) write of `cell` by the running transaction `tx`
+/// (called from `HtmCell::set`).
+pub(crate) fn tx_write<T: Copy>(tx: Active, cell: &HtmCell<T>, value: T) {
     tick(Event::SharedStore);
     match crate::inject::check(crate::inject::InjectPoint::Write) {
         Some(crate::inject::Injected::Abort(status)) => do_abort(status),
         Some(crate::inject::Injected::Panic) => do_injected_panic(),
         None => {}
     }
-    TX.with(|slot| {
-        let mut borrow = slot.borrow_mut();
-        let tx = &mut *borrow;
-        let fm = &mut tx.fm;
+    // SAFETY: as in `tx_read`.
+    let tx = unsafe { tx.state() };
 
-        if fm.access_spurious() {
-            let hint = fm.spurious_retry_hint();
-            do_abort(AbortStatus::spurious(hint));
-        }
+    if tx.fm.access_spurious() {
+        let hint = tx.fm.spurious_retry_hint();
+        do_abort(AbortStatus::spurious(hint));
+    }
 
-        let size = std::mem::size_of::<T>();
-        let mut buf = [0u8; MAX_CELL_SIZE];
-        // SAFETY: size_of::<T>() <= MAX_CELL_SIZE (enforced by HtmCell::new).
-        unsafe {
-            std::ptr::copy_nonoverlapping(&value as *const T as *const u8, buf.as_mut_ptr(), size);
-        }
+    let size = std::mem::size_of::<T>();
+    let mut buf = [0u8; MAX_CELL_SIZE];
+    // SAFETY: size_of::<T>() <= MAX_CELL_SIZE (enforced by HtmCell::new).
+    unsafe {
+        ptr::copy_nonoverlapping(&value as *const T as *const u8, buf.as_mut_ptr(), size);
+    }
 
-        let vp = cell.value_ptr() as *mut u8;
-        if let Some(w) = tx.writes.iter_mut().find(|w| w.value_ptr == vp) {
-            w.buf = buf;
-            return;
-        }
+    let vp = cell.value_ptr() as *mut u8;
+    if let Some(w) = tx.writes.iter_mut().find(|w| w.value_ptr == vp) {
+        w.buf = buf;
+        return;
+    }
 
-        // Eager conflict check: a cell someone else holds locked is being
-        // published to right now; bailing early is cheaper than spinning
-        // on it at commit. Relaxed: a hint, `commit` decides.
-        let meta = cell.meta_word();
-        let m = meta.load(Ordering::Relaxed);
-        if is_locked(m) {
-            do_abort(AbortStatus::conflict());
-        }
+    // Eager conflict check: a cell someone else holds locked is being
+    // published to right now; bailing early is cheaper than spinning on it
+    // at commit. Relaxed: a hint, `commit` decides.
+    let meta = cell.meta_word();
+    let m = meta.load(Ordering::Relaxed);
+    if is_locked(m) {
+        do_abort(AbortStatus::conflict());
+    }
 
-        tx.writes.push(WriteEntry {
-            meta: meta as *const AtomicU64,
-            value_ptr: vp,
-            size,
-            buf,
-            saved: 0,
-        });
-        if tx.writes.len() > tx.max_writes {
-            do_abort(AbortStatus::capacity());
-        }
+    tx.writes.push(WriteEntry {
+        meta: meta as *const AtomicU64,
+        value_ptr: vp,
+        size,
+        buf,
+        saved: 0,
     });
+    if tx.writes.len() > tx.max_writes {
+        do_abort(AbortStatus::capacity());
+    }
 }
 
 /// Commit: lock write cells, validate reads, publish, release.
@@ -647,7 +696,8 @@ mod tests {
         // parallel thread may extend the clock past the commit before the
         // reader begins; then the round proves nothing and is run again.
         let (a, b) = (HtmCell::new(0u64), HtmCell::new(0u64));
-        let rv = || TX.with(|t| t.borrow().rv);
+        // SAFETY: read from the body, under no other reference.
+        let rv = || unsafe { active().unwrap().state() }.rv;
         for round in 1..=100u64 {
             attempt(&profile(), &mut rng(), || {
                 a.set(round);
@@ -835,6 +885,21 @@ mod tests {
         for _ in 0..10_000 {
             assert!(attempt(&profile(), &mut r, || a.get()).is_ok());
         }
+    }
+
+    #[test]
+    fn a_seed_may_run_a_transaction_of_its_own() {
+        // The seed is the caller's code and is drawn with no reference to
+        // the thread's state live, so it may run a whole transaction.
+        let a = HtmCell::new(1u64);
+        attempt(&profile(), &mut rng(), || ()).unwrap();
+        let rock = Platform::rock().htm.unwrap();
+        let seed = || attempt(&profile(), &mut rng(), || a.get()).unwrap();
+        match attempt_seeded(&rock, seed, || a.get()) {
+            Ok(v) => assert_eq!(v, 1),
+            Err(st) => assert_eq!(st.code, AbortCode::Spurious, "rock aborts spuriously"),
+        }
+        assert!(!in_txn());
     }
 
     #[test]

@@ -54,18 +54,26 @@ thread_local! {
 /// [`StatCounter::add_drawn`] its own rotation of it.
 #[inline]
 pub fn fold_draw() -> u64 {
-    FOLD_STATE.with(|s| {
-        let mut x = s.get();
-        if x == 0 {
-            // The thread's first draw.
-            x = (ale_vtime::stripe_hint() as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
+    // Only the state step runs inside `with`: a closure this small lets
+    // `LocalKey::with` inline to one thread-relative access.
+    let x = FOLD_STATE.with(|s| {
+        let x = match s.get() {
+            0 => first_fold_state(),
+            x => x,
         }
-        let x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        .wrapping_add(0x9E37_79B9_7F4A_7C15);
         s.set(x);
-        let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    })
+        x
+    });
+    let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Where a thread's [`fold_draw`] stream starts, keyed by its stripe hint.
+#[cold]
+fn first_fold_state() -> u64 {
+    (ale_vtime::stripe_hint() as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
 }
 
 /// A scalable, probabilistically-updated event counter (increment-by-one

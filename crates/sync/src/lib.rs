@@ -8,9 +8,7 @@
 //!   `is_locked()` *subscribes* to the lock word: any Lock-mode acquisition
 //!   invalidates concurrently-running transactions (the TLE soundness
 //!   requirement).
-//! * [`SpinLock`] — the test-and-test-and-set lock every table uses;
-//!   [`ClhLock`] — a queue lock whose state is a pointer, kept as the
-//!   check that ALE elides "any type of lock".
+//! * [`SpinLock`] — the test-and-test-and-set lock every table uses.
 //! * [`RwLock`] — a writer-preference readers-writer lock with try-variants
 //!   (Kyoto Cabinet's locking structure; Courtois et al. [2]).
 //! * [`SeqLock`]/[`SeqVersion`] — sequence locks [1, 9] and the paper's
@@ -29,7 +27,6 @@
 
 pub mod backoff;
 pub mod chaos;
-pub mod clh;
 pub mod counters;
 pub mod mutex;
 pub mod padded;
@@ -43,7 +40,6 @@ pub mod timing;
 pub mod watchdog;
 
 pub use backoff::Backoff;
-pub use clh::ClhLock;
 pub use counters::{fold_draw, StatCounter};
 pub use mutex::{TickMutex, TickMutexGuard};
 pub use padded::CachePadded;
